@@ -22,7 +22,6 @@ from .evaluate import (
     pr_sweep,
 )
 from .ingest import Corpus, Document, load_corpus
-from .kernels import BACKEND as MATCHER_BACKEND
 from .lexicon import (
     Concept,
     Lexicon,
@@ -64,7 +63,6 @@ __all__ = [
     "FilterRules",
     "GoldAnnotation",
     "Lexicon",
-    "MATCHER_BACKEND",
     "Mention",
     "PRPoint",
     "ScoredMention",

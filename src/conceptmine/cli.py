@@ -27,7 +27,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="pipeline config file")
-    common.add_argument("--output", help="override the output directory")
+    common.add_argument(
+        "--output",
+        help="override the output directory (relative to the working directory)",
+    )
 
     p_lex = sub.add_parser(
         "lexicon", parents=[common], help="load the lexicon and report its shape"

@@ -1,7 +1,9 @@
 """Pipeline configuration: one INI-style file plus command-line overrides.
 
-Relative paths are resolved against the directory containing the config
-file, so a checked-in config stays runnable from anywhere.
+Relative paths in the file are resolved against the directory containing
+the config file, so a checked-in config stays runnable from anywhere. A
+relative ``output`` override, as given on the command line, is resolved
+against the working directory.
 """
 
 from __future__ import annotations
@@ -98,8 +100,11 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
         lexicon_path = resolve(paths["lexicon"])
         corpus_path = resolve(paths["corpus"])
         gold_path = resolve(paths["gold"])
-        output_raw = overrides.get("output") or paths.get("output", "out")
-        output_dir = resolve(str(output_raw))
+        output_override = overrides.get("output")
+        if output_override:
+            output_dir = Path(str(output_override))
+        else:
+            output_dir = resolve(paths.get("output", "out"))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing required [paths] option {exc}") from exc
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .automaton import TokenAutomaton, build_token_automaton
 from .tokenize import fold_term_tokens
 
 ConceptId = str
@@ -245,35 +244,26 @@ def expand_descendants(lexicon: Lexicon, roots: set[ConceptId]) -> set[ConceptId
 
 @dataclass(frozen=True, eq=False)
 class Vocabulary:
-    """Multi-pattern matching structure over the case-folded terms of the
-    selected concepts.
+    """Case-folded terms of the selected concepts, compiled for n-gram lookup.
 
-    A pattern is a tuple of case-folded token ids; distinct surface terms
-    that tokenize identically share one pattern. ``pattern_concepts[p]``
-    is the sorted tuple of concept ids reachable through pattern ``p``.
+    ``terms`` maps a term's case-folded token tuple to the sorted concept
+    ids carrying it; distinct surface terms that tokenize identically
+    share one entry. ``longest[t]`` is the token length of the longest
+    term whose first token is ``t``, so a matcher standing on a document
+    token ``t`` looks up at most ``longest[t]`` n-grams, and none at a
+    token that starts no term.
     """
 
-    token_ids: dict[str, int]
-    patterns: tuple[tuple[int, ...], ...]
-    pattern_concepts: tuple[tuple[ConceptId, ...], ...]
-    automaton: TokenAutomaton
-    max_pattern_tokens: int
+    terms: dict[tuple[str, ...], tuple[ConceptId, ...]]
+    longest: dict[str, int]
     n_terms: int
 
     def __len__(self) -> int:
-        return len(self.patterns)
+        return len(self.terms)
 
     def concepts_for_term(self, term: str) -> tuple[ConceptId, ...]:
         """Concept ids reachable through one case-folded term, () if absent."""
-        tokens = fold_term_tokens(term)
-        ids = tuple(self.token_ids.get(t, -1) for t in tokens)
-        if not ids or -1 in ids:
-            return ()
-        try:
-            index = self.patterns.index(ids)
-        except ValueError:
-            return ()
-        return self.pattern_concepts[index]
+        return self.terms.get(fold_term_tokens(term), ())
 
 
 def build_vocabulary(lexicon: Lexicon, selected: set[ConceptId]) -> Vocabulary:
@@ -288,27 +278,22 @@ def build_vocabulary(lexicon: Lexicon, selected: set[ConceptId]) -> Vocabulary:
     if unknown:
         raise LexiconError(f"selected ids not in lexicon: {', '.join(unknown)}")
 
-    terms: dict[str, set[ConceptId]] = {}
+    surfaces: dict[str, set[ConceptId]] = {}
     for cid in sorted(selected):
         for term in lexicon.get(cid).terms():
-            terms.setdefault(term.lower(), set()).add(cid)
+            surfaces.setdefault(term.lower(), set()).add(cid)
 
-    token_ids: dict[str, int] = {}
-    pattern_map: dict[tuple[int, ...], set[ConceptId]] = {}
-    for term in sorted(terms):
-        tokens = fold_term_tokens(term)
+    terms: dict[tuple[str, ...], set[ConceptId]] = {}
+    longest: dict[str, int] = {}
+    for surface in sorted(surfaces):
+        tokens = fold_term_tokens(surface)
         if not tokens:
-            raise LexiconError(f"term {term!r} contains no matchable tokens")
-        ids = tuple(token_ids.setdefault(t, len(token_ids)) for t in tokens)
-        pattern_map.setdefault(ids, set()).update(terms[term])
+            raise LexiconError(f"term {surface!r} contains no matchable tokens")
+        terms.setdefault(tokens, set()).update(surfaces[surface])
+        longest[tokens[0]] = max(longest.get(tokens[0], 0), len(tokens))
 
-    patterns = tuple(sorted(pattern_map))
-    pattern_concepts = tuple(tuple(sorted(pattern_map[p])) for p in patterns)
     return Vocabulary(
-        token_ids=token_ids,
-        patterns=patterns,
-        pattern_concepts=pattern_concepts,
-        automaton=build_token_automaton(patterns),
-        max_pattern_tokens=max(len(p) for p in patterns),
-        n_terms=len(terms),
+        terms={tokens: tuple(sorted(cids)) for tokens, cids in terms.items()},
+        longest=longest,
+        n_terms=len(surfaces),
     )

@@ -3,9 +3,13 @@
 Matching is case-insensitive and token-boundary aligned. A vocabulary term
 matches a run of consecutive document tokens whose case-folded texts equal
 the term's token sequence, so multi-word terms span whatever whitespace or
-punctuation separates the tokens. Overlaps resolve longest-span-first,
-then earliest-start-first. Filter rules flag mentions (negation cue within
-a token window in the same sentence, or a stop-listed surface) without
+punctuation separates the tokens. Each document is tokenized once; at
+every token that starts some term, the matcher looks the following
+n-grams up in the vocabulary's term dict, up to the length of the longest
+term with that first token (the FlashText idea, Singh 2017, over
+case-folded tokens). Overlaps resolve longest-span-first, then
+earliest-start-first. Filter rules flag mentions (negation cue within a
+token window in the same sentence, or a stop-listed surface) without
 deleting them.
 """
 
@@ -19,12 +23,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import kernels
 from .ingest import Corpus, Document
 from .lexicon import ConceptId, Vocabulary
-from .tokenize import Token, fold_term_tokens, token_matches, tokenize
+from .tokenize import fold_term_tokens, token_columns
 
 _SENTENCE_BREAK_RE = re.compile(r"[.!?\n]")
 
@@ -61,9 +62,7 @@ class FilterRules:
         return not self.negation_cues and not self.stop_surfaces
 
 
-def find_mentions(
-    doc: Document, vocab: Vocabulary, backend: str | None = None
-) -> list[Mention]:
+def find_mentions(doc: Document, vocab: Vocabulary) -> list[Mention]:
     """All resolved vocabulary matches in one document.
 
     Every maximal token-aligned match is found; overlapping matches are
@@ -72,26 +71,34 @@ def find_mentions(
     the same span. Result is sorted by (start, concept_id) and every
     mention satisfies ``doc.text[start:end] == surface``.
     """
+    starts, ends, folded = token_columns(doc.text)
+    return _match(doc, vocab, starts, ends, folded)
+
+
+def _match(
+    doc: Document,
+    vocab: Vocabulary,
+    starts: list[int],
+    ends: list[int],
+    folded: list[str],
+) -> list[Mention]:
     if not len(vocab):
         raise ValueError("vocabulary is empty")
-    tokens = list(token_matches(doc.text))
-    if not tokens:
-        return []
-    search = kernels.get_kernel(backend)
-    lookup = vocab.token_ids
-    token_ids = np.fromiter(
-        (lookup.get(t.group().lower(), -1) for t in tokens),
-        dtype=np.int64,
-        count=len(tokens),
-    )
-    raw = search(token_ids, vocab.automaton)
-    candidates = [
-        (tokens[ts].start(), tokens[te - 1].end(), pattern)
-        for ts, te, pattern in raw
-    ]
+    terms = vocab.terms
+    longest = vocab.longest
+    n_tokens = len(folded)
+    candidates = []
+    for i, first in enumerate(folded):
+        limit = longest.get(first)
+        if limit is None:
+            continue
+        for stop in range(i + 1, min(i + limit, n_tokens) + 1):
+            concepts = terms.get(tuple(folded[i:stop]))
+            if concepts is not None:
+                candidates.append((starts[i], ends[stop - 1], concepts))
     mentions: list[Mention] = []
-    for start, end, pattern in _resolve_overlaps(candidates):
-        for cid in vocab.pattern_concepts[pattern]:
+    for start, end, concepts in _resolve_overlaps(candidates):
+        for cid in concepts:
             mentions.append(
                 Mention(
                     doc_id=doc.doc_id,
@@ -106,13 +113,13 @@ def find_mentions(
 
 
 def _resolve_overlaps(
-    candidates: list[tuple[int, int, int]]
-) -> list[tuple[int, int, int]]:
+    candidates: list[tuple[int, int, tuple[ConceptId, ...]]]
+) -> list[tuple[int, int, tuple[ConceptId, ...]]]:
     ordered = sorted(candidates, key=lambda c: (c[0] - c[1], c[0]))
-    accepted: list[tuple[int, int, int]] = []
-    for start, end, pattern in ordered:
+    accepted: list[tuple[int, int, tuple[ConceptId, ...]]] = []
+    for start, end, concepts in ordered:
         if all(end <= a_start or start >= a_end for a_start, a_end, _ in accepted):
-            accepted.append((start, end, pattern))
+            accepted.append((start, end, concepts))
     accepted.sort()
     return accepted
 
@@ -128,10 +135,19 @@ def apply_filter_rules(
     """
     if rules.is_empty() or not mentions:
         return list(mentions)
+    starts, _, folded = token_columns(doc.text)
+    return _flag(mentions, doc, rules, starts, folded)
 
-    tokens = tokenize(doc.text)
-    token_starts = [t.start for t in tokens]
-    folded = [t.text.lower() for t in tokens]
+
+def _flag(
+    mentions: Sequence[Mention],
+    doc: Document,
+    rules: FilterRules,
+    token_starts: list[int],
+    folded: list[str],
+) -> list[Mention]:
+    if rules.is_empty() or not mentions:
+        return list(mentions)
     sentence_starts = _sentence_starts(doc.text)
     cue_tokens = [
         (cue, fold_term_tokens(cue)) for cue in rules.negation_cues
@@ -197,15 +213,16 @@ def find_corpus_mentions(
     vocab: Vocabulary,
     rules: FilterRules | None = None,
     threads: int = 1,
-    backend: str | None = None,
 ) -> list[Mention]:
     """Match and filter every document; canonical (doc_id, start, concept_id)
-    order makes the result independent of the thread count."""
+    order makes the result independent of the thread count. Each document
+    is tokenized once, for matching and filtering both."""
     rules = rules or FilterRules()
 
     def process(doc: Document) -> list[Mention]:
-        found = find_mentions(doc, vocab, backend=backend)
-        return apply_filter_rules(found, doc, rules)
+        starts, ends, folded = token_columns(doc.text)
+        found = _match(doc, vocab, starts, ends, folded)
+        return _flag(found, doc, rules, starts, folded)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -24,10 +24,16 @@ def tokenize(text: str) -> list[Token]:
     ]
 
 
-def token_matches(text: str):
-    """Raw regex matches of the token pattern; the allocation-light form
-    of :func:`tokenize` used on the matching hot path."""
-    return _TOKEN_RE.finditer(text)
+def token_columns(text: str) -> tuple[list[int], list[int], list[str]]:
+    """Start offsets, end offsets and case-folded texts of the tokens of
+    ``text``: the per-document form of :func:`tokenize` that matching and
+    filtering share."""
+    matches = list(_TOKEN_RE.finditer(text))
+    return (
+        [m.start() for m in matches],
+        [m.end() for m in matches],
+        [m.group().lower() for m in matches],
+    )
 
 
 def fold_term_tokens(term: str) -> tuple[str, ...]:

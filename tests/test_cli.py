@@ -80,6 +80,15 @@ class TestLoadConfig:
         assert config.corpus_path == small_setup / "corpus.jsonl"
         assert config.output_dir == small_setup / "out"
 
+    def test_output_override_resolves_to_working_dir(
+        self, small_setup, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = load_config(small_setup / "config.ini", {"output": "relout"})
+        assert config.output_dir.resolve() == (tmp_path / "relout").resolve()
+        assert (tmp_path / "relout").is_dir()
+        assert not (small_setup / "relout").exists()
+
 
 class TestCommands:
     def test_lexicon_summary(self, small_setup, capsys):

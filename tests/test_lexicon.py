@@ -204,7 +204,7 @@ class TestBuildVocabulary:
         vocab = build_vocabulary(lexicon, {"C0", "C1"})
         assert len(vocab) == 3
         assert vocab.n_terms == 3
-        assert vocab.max_pattern_tokens == 3
+        assert vocab.longest == {"abuse": 3, "adverse": 2, "child": 2}
 
     def test_shared_term_maps_to_both_concepts(self, tmp_path):
         path = write_lexicon_csv(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conceptmine.ingest import Document
-from conceptmine.kernels import available_backends
 from conceptmine.lexicon import build_vocabulary, load_lexicon
 from conceptmine.ner import (
     FilterRules,
@@ -180,6 +179,50 @@ class TestFindMentions:
             got = [(m.start, m.end, m.concept_id) for m in find_mentions(doc, vocab)]
             assert got == brute_force_mentions(text, term_concepts), text
 
+    def test_matches_equal_brute_force_on_random_vocabularies(self, tmp_path):
+        """Vocabularies over a five-word alphabet, so terms repeat tokens,
+        share first tokens and nest in each other. The fixed vocabulary
+        pins repeated-token terms and a first token ("b") whose longest
+        term is longer than every other term starting with it."""
+        alphabet = ["a", "b", "c", "d", "e"]
+        fixed = [
+            "F1,a a,true,,g",
+            "F2,a a a,true,,g",
+            "F3,b,true,,g",
+            "F4,b c,true,,g",
+            "F5,b c d e a,true,,g",
+            "F6,c,true,,g",
+        ]
+        separators = [" ", " ", ", ", ". ", "/", "\n"]
+        rng = np.random.default_rng(29)
+        for trial in range(80):
+            rows = fixed
+            if trial:
+                terms = [
+                    " ".join(rng.choice(alphabet, size=int(rng.integers(1, 5))))
+                    for _ in range(int(rng.integers(1, 9)))
+                ]
+                rows = [f"R{k},{term},true,,g" for k, term in enumerate(terms)]
+            lexicon = load_lexicon(
+                write_lexicon_csv(tmp_path / f"vocab{trial}.csv", rows)
+            )
+            vocab = build_vocabulary(lexicon, set(lexicon.concept_ids()))
+            term_concepts = {
+                term: set(cids) for term, cids in lexicon.term_index.items()
+            }
+            words = list(term_concepts) + alphabet + ["z"]
+            for _ in range(10):
+                pieces = []
+                for _ in range(int(rng.integers(0, 16))):
+                    pieces.append(words[int(rng.integers(len(words)))])
+                    pieces.append(separators[int(rng.integers(len(separators)))])
+                text = "".join(pieces)
+                doc = Document(doc_id="d", text=text)
+                got = [
+                    (m.start, m.end, m.concept_id) for m in find_mentions(doc, vocab)
+                ]
+                assert got == brute_force_mentions(text, term_concepts), (rows, text)
+
     def test_surfaces_round_trip_and_spans_disjoint(self, nested_vocab):
         _, vocab = nested_vocab
         text = "mood swings, then self harm; general anxiety / panic attack."
@@ -194,25 +237,6 @@ class TestFindMentions:
         distinct = sorted({(s, e) for s, e, _ in spans})
         for (s1, e1), (s2, e2) in zip(distinct, distinct[1:]):
             assert e1 <= s2
-
-    def test_backends_agree(self, nested_vocab):
-        lexicon, vocab = nested_vocab
-        backends = available_backends()
-        if len(backends) < 2:
-            pytest.skip("compiled kernel not built")
-        rng = np.random.default_rng(17)
-        words = list(lexicon.term_index) + ["filler", "words", "here"]
-        for trial in range(100):
-            text = " ".join(
-                words[int(rng.integers(len(words)))]
-                for _ in range(int(rng.integers(0, 30)))
-            )
-            doc = Document(doc_id="d", text=text)
-            results = [
-                find_mentions(doc, vocab, backend=b) for b in backends
-            ]
-            assert results[0] == results[1]
-
 
 class TestFilterRules:
     def test_negation_within_window(self, tmp_path):
