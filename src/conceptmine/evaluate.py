@@ -10,20 +10,30 @@ a gold-true annotation has the identical (doc_id, start, end). Predicted
 spans are deduplicated, so several concepts on one span count once
 globally; this keeps tp + fn equal to the number of gold-true
 annotations.
+
+The PR sweep sorts once (the PR curve construction of Davis & Goadrich,
+ICML 2006): a span is positive at threshold tau iff the highest score of
+its unfiltered mentions is >= tau, so each gold-true annotation carries
+its span's highest score (-inf when never predicted) and every other
+predicted span its own. With both lists sorted, one ``np.searchsorted``
+gives tp and fp at every threshold.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .ingest import Corpus
 from .lexicon import ConceptId, Lexicon
 from .ner import Mention
-from .selflabel import ScoredMention, ThresholdSweep, label_at_threshold
+from .selflabel import ScoredMention, ThresholdSweep
 
 GOLD_LABELS = ("NLP_TRUE", "Not_ACEs", "Manual_ACEs")
 GOLD_TRUE_LABELS = frozenset({"NLP_TRUE", "Manual_ACEs"})
@@ -229,11 +239,29 @@ def pr_sweep(
     gold: Sequence[GoldAnnotation],
     sweep: ThresholdSweep,
 ) -> list[PRPoint]:
-    """One precision/recall point per threshold, in threshold order."""
+    """One precision/recall point per threshold, in threshold order.
+
+    Equal to labeling at each threshold with ``label_at_threshold`` and
+    scoring with ``match_to_gold``; NaN scores are never positive.
+    """
+    best: dict[SpanKey, float] = {}
+    for s in scored:
+        m = s.mention
+        if m.filtered or math.isnan(s.score):
+            continue
+        key = (m.doc_id, m.start, m.end)
+        if key not in best or s.score > best[key]:
+            best[key] = s.score
+    true_spans = {g.span() for g in gold if g.is_true}
+    gold_scores = np.sort([best.get(g.span(), -math.inf) for g in gold if g.is_true])
+    other_scores = np.sort([v for k, v in best.items() if k not in true_spans])
+    taus = np.array(sweep.thresholds, dtype=np.float64)
+    tp = len(gold_scores) - np.searchsorted(gold_scores, taus, side="left")
+    fp = len(other_scores) - np.searchsorted(other_scores, taus, side="left")
     points = []
-    for tau in sweep.thresholds:
-        labeled = label_at_threshold(scored, tau)
-        metrics = compute_metrics(match_to_gold(labeled, gold))
+    for tau, tp_at, fp_at in zip(sweep.thresholds, tp.tolist(), fp.tolist()):
+        counts = ConfusionCounts(tp=tp_at, fp=fp_at, fn=len(gold_scores) - tp_at)
+        metrics = compute_metrics(counts)
         points.append(
             PRPoint(threshold=tau, precision=metrics.precision, recall=metrics.recall)
         )

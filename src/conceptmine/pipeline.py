@@ -39,7 +39,7 @@ from .matrix import (
     write_sparse_matrix,
 )
 from .ner import Mention, find_corpus_mentions, read_mentions, write_mentions
-from .selflabel import ScoredMention, score_mentions, write_labels_csv, write_scored
+from .selflabel import ScoredMention, score_mentions, write_label_files, write_scored
 
 STAGES = ("ner", "matrix", "autoencoder", "score", "eval")
 
@@ -360,10 +360,7 @@ def _stage_score(
         scored.sort(key=lambda s: s.mention.sort_key())
         out[space] = scored
         write_scored(scored, art.scored(space))
-        labels_dir = art.labels_dir(space)
-        labels_dir.mkdir(parents=True, exist_ok=True)
-        for tau in config.sweep.thresholds:
-            write_labels_csv(scored, tau, labels_dir / f"threshold_{tau:g}.csv")
+        write_label_files(scored, config.sweep, art.labels_dir(space))
     return out
 
 

@@ -90,6 +90,19 @@ class TestLoadConfig:
         assert not (small_setup / "relout").exists()
 
 
+    def test_colliding_threshold_file_names_exit_2(self, small_setup, capsys):
+        path = small_setup / "colliding.ini"
+        path.write_text(
+            (small_setup / "config.ini").read_text(encoding="utf-8")
+            + "[selflabel]\nthresholds = 0.1234561, 0.1234562\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="selflabel.thresholds.*threshold_0.123456.csv"):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "0.1234562" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_lexicon_summary(self, small_setup, capsys):
         code = main(["lexicon", "--config", str(small_setup / "config.ini")])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from conceptmine.evaluate import (
 )
 from conceptmine.ingest import Corpus, Document
 from conceptmine.ner import Mention
-from conceptmine.selflabel import ScoredMention, ThresholdSweep
+from conceptmine.selflabel import ScoredMention, ThresholdSweep, label_at_threshold
 
 from conftest import flat_lexicon
 
@@ -185,7 +187,55 @@ def scored_fixture(scores):
     ]
 
 
+def reference_pr_sweep(scored, gold, sweep):
+    """Label and match at every threshold separately."""
+    points = []
+    for tau in sweep.thresholds:
+        labeled = label_at_threshold(scored, tau)
+        metrics = compute_metrics(match_to_gold(labeled, gold))
+        points.append(
+            PRPoint(threshold=tau, precision=metrics.precision, recall=metrics.recall)
+        )
+    return points
+
+
+def random_sweep_inputs(rng):
+    """Mentions on a small pool of spans, so spans carry several concepts
+    with different scores and mix filtered and unfiltered mentions; gold
+    drawn from the same pool plus spans never predicted."""
+    taus = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
+    pool = [(d, 10 * k, 10 * k + 4) for d in ("d", "e") for k in range(12)]
+    scored = []
+    for _ in range(int(rng.integers(0, 60))):
+        doc_id, start, end = pool[int(rng.integers(len(pool) - 4))]
+        if rng.random() < 0.3:
+            score = float(rng.choice(taus + (math.nan,)))
+        else:
+            score = float(rng.uniform(-1, 1))
+        m = Mention(
+            doc_id=doc_id, concept_id=f"C{int(rng.integers(3))}", start=start,
+            end=end, surface="x" * 4, filtered=bool(rng.random() < 0.25),
+        )
+        scored.append(ScoredMention(m, score))
+    labels = ("NLP_TRUE", "Not_ACEs", "Manual_ACEs")
+    gs = [
+        gold(*pool[int(rng.integers(len(pool)))], labels[int(rng.integers(3))])
+        for _ in range(int(rng.integers(0, 20)))
+    ]
+    return scored, gs, ThresholdSweep(thresholds=taus)
+
+
 class TestPRSweep:
+    def test_equals_per_threshold_reference(self):
+        rng = np.random.default_rng(101)
+        for trial in range(300):
+            scored, gs, sweep = random_sweep_inputs(rng)
+            if trial % 10 == 0:
+                gs = []
+            elif trial % 10 == 1:
+                gs = gs + gs
+            assert pr_sweep(scored, gs, sweep) == reference_pr_sweep(scored, gs, sweep)
+
     def test_single_minus_one_threshold_equals_unthresholded(self):
         scored = scored_fixture([0.3, 0.8])
         gs = [gold("d", 0, 4, "NLP_TRUE"), gold("d", 30, 34, "Manual_ACEs")]

@@ -106,6 +106,27 @@ def test_tiny_end_to_end_run_result(tmp_path):
     assert metrics["baseline"]["tp"] == 2
 
 
+def test_rerun_with_fewer_thresholds_leaves_no_stale_label_files(tmp_path):
+    corpus = [
+        {"id": "a", "text": "child abuse and child neglect at home."},
+        {"id": "b", "text": "child abuse again, then emotional neglect."},
+        {"id": "c", "text": "bullying and child neglect."},
+    ]
+    ae_section = "[autoencoder]\nencoded_dim = 2\nepochs = 5\n"
+    run_pipeline(load_config(write_inputs(tmp_path, corpus, [], ae_section)))
+    config = load_config(
+        write_inputs(
+            tmp_path, corpus, [], ae_section + "[selflabel]\nthresholds = 0.33, 0.66\n"
+        )
+    )
+    run_pipeline(config)
+    art = Artifacts(config.output_dir)
+    for space in ("raw", "encoded"):
+        assert sorted(p.name for p in art.labels_dir(space).iterdir()) == [
+            "threshold_0.33.csv", "threshold_0.66.csv",
+        ]
+
+
 def test_artifact_stage_mapping(tmp_path):
     art = Artifacts(tmp_path)
     assert art.stage_of(art.mentions) == "ner"

@@ -1,21 +1,29 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from conceptmine import autoencoder as ae
 from conceptmine.ingest import Corpus, Document
 from conceptmine.matrix import (
+    DocConceptMatrix,
     build_cooc_matrix,
     build_doc_concept_matrix,
     concept_embeddings,
+    cosine_similarity,
+    document_context_vector,
 )
 from conceptmine.ner import Mention
 from conceptmine.selflabel import (
+    SCORE_BLOCK,
     ScoredMention,
     ThresholdSweep,
     label_at_threshold,
     read_scored,
     score_mentions,
+    write_label_files,
     write_labels_csv,
     write_scored,
 )
@@ -49,6 +57,70 @@ def toy_setup():
     C = build_cooc_matrix(X)
     assert C.counts.toarray().tolist() == [[3, 2, 1], [2, 2, 0], [1, 0, 2]]
     return X, C, mentions
+
+
+def random_scoring_setup(rng, n_docs=400, m=12):
+    """Random doc-concept counts with empty and single-concept rows, one
+    mention per nonzero plus a filtered mention of a concept absent from
+    each row, and docs whose contexts equal, oppose or zero out the
+    concept row under :func:`constructed_embeddings`.
+
+    Returns X, the mentions and ``{mention index: exact score}`` for the
+    constructed docs.
+    """
+    # Random rows draw from concepts 4.. only: concepts 0-2 embed as e0,
+    # e0 and -e0 and would cancel in sums like 2*e0 + e0 - 3*e0, whose
+    # rounding residual depends on the summation order.
+    rows = []
+    for i in range(n_docs):
+        size = 0 if i % 40 == 0 else 1 if i % 40 == 1 else int(rng.integers(2, m - 3))
+        cols = np.sort(rng.choice(np.arange(4, m), size=size, replace=False))
+        rows.append(dict(zip(cols.tolist(), rng.integers(1, 5, size=size).tolist())))
+    special_rows = [{0: 1, 1: 1}, {0: 1, 2: 1}, {0: 2, 3: 1}]
+    special_scores = [(1.0, 1.0), (-1.0, -1.0), (0.0, 0.0)]
+    rows += special_rows
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([j for r in rows for j in r], dtype=np.int64)
+    data = np.array([c for r in rows for c in r.values()], dtype=np.int64)
+    counts = sparse.csr_matrix((data, indices, indptr), shape=(len(rows), m))
+    X = DocConceptMatrix(
+        doc_ids=tuple(f"d{i:03d}" for i in range(len(rows))),
+        concept_ids=tuple(f"C{j:02d}" for j in range(m)),
+        counts=counts,
+    )
+    mentions = []
+    special = {}
+    for i, row in enumerate(rows):
+        doc_id = X.doc_ids[i]
+        for j in row:
+            if i >= n_docs:
+                pair = special_scores[i - n_docs]
+                special[len(mentions)] = pair[0 if j == 0 else 1]
+            mentions.append(mention(doc_id, X.concept_ids[j], start=2 * j))
+        absent = [j for j in range(m) if j not in row]
+        if absent:
+            j = int(rng.choice(absent))
+            mentions.append(mention(doc_id, X.concept_ids[j], start=2 * j, filtered=True))
+    return X, mentions, special
+
+
+def constructed_embeddings(m):
+    embeddings = np.random.default_rng(84).normal(size=(m, 5))
+    embeddings[1] = embeddings[0]
+    embeddings[2] = -embeddings[0]
+    embeddings[3] = 0.0
+    return embeddings
+
+
+def oracle_scores(mentions, X, embeddings):
+    scores = []
+    for m in mentions:
+        concept = X.concept_index(m.concept_id)
+        context = document_context_vector(
+            X, embeddings, X.doc_index(m.doc_id), exclude=concept
+        )
+        scores.append(cosine_similarity(embeddings[concept], context))
+    return np.array(scores)
 
 
 class TestScoreMentions:
@@ -92,6 +164,28 @@ class TestScoreMentions:
         embeddings = concept_embeddings(C)
         with pytest.raises(ValueError, match="'Z'"):
             score_mentions([mention("d1", "Z")], X, embeddings)
+
+    @pytest.mark.parametrize("space", ["raw", "encoded", "constructed"])
+    def test_equals_context_vector_oracle(self, space):
+        X, mentions, special = random_scoring_setup(np.random.default_rng(83))
+        assert len(mentions) > 2 * SCORE_BLOCK
+        C = build_cooc_matrix(X)
+        if space == "raw":
+            embeddings = concept_embeddings(C, normalized=True)
+        elif space == "encoded":
+            config = ae.AEConfig(input_dim=X.m_concepts, encoded_dim=4, seed=5)
+            embeddings = ae.encode_all(ae.init_model(config), C, normalized=True)
+        else:
+            embeddings = constructed_embeddings(X.m_concepts)
+        scored = score_mentions(mentions, X, embeddings)
+        assert [s.mention for s in scored] == mentions
+        expected = oracle_scores(mentions, X, embeddings)
+        got = np.array([s.score for s in scored])
+        assert np.max(np.abs(got - expected)) <= 1e-12
+        if space == "constructed":
+            for k, value in special.items():
+                assert got[k] == value
+                assert expected[k] == value
 
     def test_scale_invariance_of_scores(self):
         X, C, mentions = toy_setup()
@@ -168,6 +262,10 @@ class TestThresholdSweep:
         with pytest.raises(ValueError, match="outside"):
             ThresholdSweep(thresholds=(-2.0, 0.0))
 
+    def test_colliding_file_names_rejected(self):
+        with pytest.raises(ValueError, match=r"0\.1234561.*0\.1234562.*threshold_0\.123456\.csv"):
+            ThresholdSweep(thresholds=(0.1234561, 0.1234562))
+
 
 def test_scored_jsonl_round_trip(tmp_path):
     X, C, mentions = toy_setup()
@@ -187,3 +285,63 @@ def test_labels_csv_shape(tmp_path):
     assert lines[0] == "doc_id,start,end,concept_id,score,label"
     assert len(lines) == len(mentions) + 1
     assert all(line.endswith(("true", "false")) for line in lines[1:])
+
+
+def reference_labels_csv(scored, tau, path):
+    """One csv.writer row per mention, as label files were first written."""
+    ordered = sorted(scored, key=lambda s: s.mention.sort_key())
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["doc_id", "start", "end", "concept_id", "score", "label"])
+        for s in ordered:
+            label = (not s.mention.filtered) and s.score >= tau
+            writer.writerow(
+                [s.mention.doc_id, s.mention.start, s.mention.end,
+                 s.mention.concept_id, repr(s.score), "true" if label else "false"]
+            )
+
+
+def quoting_scored():
+    rng = np.random.default_rng(97)
+    doc_ids = ["d,1", 'd"2', "d 3", "d\n4", "plain"]
+    concept_ids = ["C,1", 'C"2', "C 3", "C4"]
+    scores = [-0.25, 0.5, -1.0, 1.0, 0.0, 1e-17] + list(rng.uniform(-1, 1, size=40))
+    scored = []
+    for k, score in enumerate(scores):
+        m = Mention(
+            doc_id=doc_ids[k % len(doc_ids)], concept_id=concept_ids[k % len(concept_ids)],
+            start=k, end=k + 3, surface="x", filtered=k % 3 == 0,
+            filter_reason="stoplist" if k % 3 == 0 else None,
+        )
+        scored.append(ScoredMention(mention=m, score=float(score)))
+    return scored[::-1]
+
+
+def test_label_files_equal_csv_writer_reference(tmp_path):
+    scored = quoting_scored()
+    sweep = ThresholdSweep(thresholds=(-1.0, 0.0, 0.5, 1.0))
+    write_label_files(scored, sweep, tmp_path / "labels")
+    for tau in sweep.thresholds:
+        reference = tmp_path / f"reference_{tau:g}.csv"
+        reference_labels_csv(scored, tau, reference)
+        single = tmp_path / f"single_{tau:g}.csv"
+        write_labels_csv(scored, tau, single)
+        written = tmp_path / "labels" / f"threshold_{tau:g}.csv"
+        assert written.read_bytes() == reference.read_bytes()
+        assert single.read_bytes() == reference.read_bytes()
+    # The unfiltered score exactly at tau=0.5 is labelled true.
+    assert b'"d""2",1,4,"C""2",0.5,true\r\n' in (
+        tmp_path / "labels" / "threshold_0.5.csv"
+    ).read_bytes()
+
+
+def test_label_files_replace_stale_thresholds_only(tmp_path):
+    scored = quoting_scored()
+    labels = tmp_path / "labels"
+    write_label_files(scored, ThresholdSweep(thresholds=(0.0, 0.5, 1.0)), labels)
+    (labels / "notes.txt").write_text("keep", encoding="utf-8")
+    (labels / "threshold_x.txt").write_text("keep", encoding="utf-8")
+    write_label_files(scored, ThresholdSweep(thresholds=(0.5, 0.75)), labels)
+    assert sorted(p.name for p in labels.iterdir()) == [
+        "notes.txt", "threshold_0.5.csv", "threshold_0.75.csv", "threshold_x.txt",
+    ]
