@@ -5,6 +5,13 @@ concept). Its concept columns cover exactly the concepts observed
 unfiltered in the corpus, in id-sorted order. The concept-level matrix
 counts, for each concept pair, the number of documents containing both;
 its rows serve as raw concept embeddings.
+
+Both keep their counts in :class:`CSRCounts`: int64 compressed sparse
+rows, row i's sorted columns in ``indices[indptr[i]:indptr[i + 1]]`` and
+its positive counts at the same positions of ``data``. The triplet file
+reader rejects an entry outside the header's shape, a repeated (row, col),
+a count that is not positive, and more or fewer entries than the header's
+nnz, naming the file and the entry.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .ingest import Corpus
 from .lexicon import ConceptId, Lexicon
@@ -24,7 +30,40 @@ from .ner import Mention
 
 
 class MatrixError(ValueError):
-    """Mention references an unknown document or concept."""
+    """Mentions or counts do not fit the documents and concepts."""
+
+
+@dataclass(frozen=True, eq=False)
+class CSRCounts:
+    """Compressed sparse rows of positive int64 counts (see module doc)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=np.int64)
+        dense[_row_of_each_entry(self.indptr), self.indices] = self.data
+        return dense
+
+
+def _row_of_each_entry(indptr: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _csr_from_triplets(
+    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape: tuple[int, int]
+) -> CSRCounts:
+    """CSR of distinct, in-range (row, col) entries given in any order."""
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return CSRCounts(indptr, cols[order], data[order], shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,9 +72,10 @@ class DocConceptMatrix:
 
     doc_ids: tuple[str, ...]
     concept_ids: tuple[ConceptId, ...]
-    counts: sparse.csr_matrix
+    counts: CSRCounts
 
     def __post_init__(self) -> None:
+        _check_shape(self.counts, (len(self.doc_ids), len(self.concept_ids)))
         object.__setattr__(
             self, "_concept_index", {c: j for j, c in enumerate(self.concept_ids)}
         )
@@ -74,7 +114,10 @@ class CoocMatrix:
     """
 
     concept_ids: tuple[ConceptId, ...]
-    counts: sparse.csr_matrix
+    counts: CSRCounts
+
+    def __post_init__(self) -> None:
+        _check_shape(self.counts, (self.m_concepts, self.m_concepts))
 
     @property
     def m_concepts(self) -> int:
@@ -84,13 +127,14 @@ class CoocMatrix:
         yield from _iter_triplets(self.counts)
 
 
-def _iter_triplets(matrix: sparse.csr_matrix) -> Iterator[tuple[int, int, int]]:
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    for k in order:
-        value = int(coo.data[k])
-        if value != 0:
-            yield int(coo.row[k]), int(coo.col[k]), value
+def _check_shape(counts: CSRCounts, expected: tuple[int, int]) -> None:
+    if counts.shape != expected:
+        raise MatrixError(f"counts shape {counts.shape}, ids give {expected}")
+
+
+def _iter_triplets(counts: CSRCounts) -> Iterator[tuple[int, int, int]]:
+    rows = _row_of_each_entry(counts.indptr)
+    return zip(rows.tolist(), counts.indices.tolist(), counts.data.tolist())
 
 
 def build_doc_concept_matrix(
@@ -117,10 +161,7 @@ def build_doc_concept_matrix(
     rows = np.fromiter((k[0] for k in tally), dtype=np.int64, count=len(tally))
     cols = np.fromiter((k[1] for k in tally), dtype=np.int64, count=len(tally))
     data = np.fromiter(tally.values(), dtype=np.int64, count=len(tally))
-    counts = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(len(corpus), len(concept_ids)), dtype=np.int64
-    ).tocsr()
-    counts.sort_indices()
+    counts = _csr_from_triplets(rows, cols, data, (len(corpus), len(concept_ids)))
     return DocConceptMatrix(
         doc_ids=corpus.doc_ids(), concept_ids=concept_ids, counts=counts
     )
@@ -128,11 +169,20 @@ def build_doc_concept_matrix(
 
 def build_cooc_matrix(X: DocConceptMatrix) -> CoocMatrix:
     """Binary document-level co-occurrence: entry (i, j) counts documents
-    where both concepts occur; symmetric by construction."""
-    binary = (X.counts > 0).astype(np.int64)
-    cooc = (binary.T @ binary).tocsr()
-    cooc.sort_indices()
-    return CoocMatrix(concept_ids=X.concept_ids, counts=cooc)
+    where both concepts occur, i.e. B^T B of the binarized X, computed as
+    one bincount over the keys i * m + j of each document's column pairs."""
+    m = X.m_concepts
+    indptr, indices = X.counts.indptr, X.counts.indices
+    lengths = np.diff(indptr)
+    # Entry e in a row of length L pairs with the L entries of its row.
+    fan = np.repeat(lengths, lengths)
+    pair_start = np.repeat(np.repeat(indptr[:-1], lengths), fan)
+    pair_offset = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+    keys = np.repeat(indices, fan) * m + indices[pair_start + pair_offset]
+    dense = np.bincount(keys, minlength=m * m).reshape(m, m)
+    rows, cols = np.nonzero(dense)
+    counts = _csr_from_triplets(rows, cols, dense[rows, cols], (m, m))
+    return CoocMatrix(concept_ids=X.concept_ids, counts=counts)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -171,7 +221,9 @@ def concept_embedding(
     optionally scaled to unit L2 norm (zero rows pass through)."""
     if not 0 <= i < C.m_concepts:
         raise ValueError(f"concept index {i} out of range [0, {C.m_concepts})")
-    row = np.asarray(C.counts[i].todense()).ravel().astype(np.float64)
+    lo, hi = C.counts.indptr[i], C.counts.indptr[i + 1]
+    row = np.zeros(C.m_concepts, dtype=np.float64)
+    row[C.counts.indices[lo:hi]] = C.counts.data[lo:hi]
     if normalized:
         norm = float(np.linalg.norm(row))
         if norm > 0.0:
@@ -181,7 +233,7 @@ def concept_embedding(
 
 def concept_embeddings(C: CoocMatrix, normalized: bool = False) -> np.ndarray:
     """All co-occurrence rows as a dense (m, m) float array."""
-    dense = np.asarray(C.counts.todense(), dtype=np.float64)
+    dense = C.counts.toarray().astype(np.float64)
     if normalized and dense.size:
         norms = np.linalg.norm(dense, axis=1, keepdims=True)
         dense = np.divide(dense, norms, out=dense.copy(), where=norms > 0)
@@ -207,9 +259,9 @@ def document_context_vector(
         )
     if exclude is not None and not 0 <= exclude < X.m_concepts:
         raise ValueError(f"exclude index {exclude} out of range [0, {X.m_concepts})")
-    row = X.counts[doc]
-    indices = row.indices
-    weights = row.data.astype(np.float64)
+    lo, hi = X.counts.indptr[doc], X.counts.indptr[doc + 1]
+    indices = X.counts.indices[lo:hi]
+    weights = X.counts.data[lo:hi].astype(np.float64)
     if exclude is not None:
         keep = indices != exclude
         indices = indices[keep]
@@ -230,25 +282,34 @@ def write_sparse_matrix(matrix: DocConceptMatrix | CoocMatrix, path: str | Path)
             handle.write(f"{row} {col} {value}\n")
 
 
-def read_sparse_counts(path: str | Path) -> sparse.csr_matrix:
+def read_sparse_counts(path: str | Path) -> CSRCounts:
+    """Read a triplet file written by :func:`write_sparse_matrix`,
+    rejecting what the writer never writes (see module doc)."""
     with Path(path).open("r", encoding="utf-8") as handle:
         header = handle.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: bad header, expected 'rows cols nnz'")
-        n_rows, n_cols, nnz = (int(x) for x in header)
-        rows = np.zeros(nnz, dtype=np.int64)
-        cols = np.zeros(nnz, dtype=np.int64)
-        data = np.zeros(nnz, dtype=np.int64)
-        for k in range(nnz):
-            parts = handle.readline().split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: truncated triplet list at entry {k}")
-            rows[k], cols[k], data[k] = (int(x) for x in parts)
-    counts = sparse.coo_matrix(
-        (data, (rows, cols)), shape=(n_rows, n_cols), dtype=np.int64
-    ).tocsr()
-    counts.sort_indices()
-    return counts
+        entries = [line.split() for line in handle]
+    if len(header) != 3 or not all(x.isdecimal() for x in header):
+        raise ValueError(f"{path}: bad header, expected 'rows cols nnz'")
+    n_rows, n_cols, nnz = (int(x) for x in header)
+    if len(entries) > nnz:
+        raise ValueError(f"{path}: entry {nnz} is past the header's nnz {nnz}")
+    k = next((k for k, parts in enumerate(entries) if len(parts) != 3), len(entries))
+    if k < nnz:
+        raise ValueError(f"{path}: truncated triplet list at entry {k}")
+    rows, cols, data = np.array(entries, dtype=np.int64).reshape(nnz, 3).T
+    bad = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols) | (data <= 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"{path}: entry {k} '{rows[k]} {cols[k]} {data[k]}' is outside the "
+            f"{n_rows} x {n_cols} shape or not a positive count"
+        )
+    order = np.lexsort((cols, rows))
+    repeated = (np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)
+    if repeated.any():
+        k = int(order[1:][repeated].min())
+        raise ValueError(f"{path}: entry {k} repeats ({rows[k]}, {cols[k]})")
+    return _csr_from_triplets(rows, cols, data, (n_rows, n_cols))
 
 
 def write_id_file(ids: Sequence[str], path: str | Path) -> None:

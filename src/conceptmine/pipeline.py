@@ -254,12 +254,16 @@ def _stage_matrix(
     if not recompute and all(p.is_file() for p in cached):
         doc_ids = read_id_file(art.doc_order)
         concept_ids = read_id_file(art.concept_order)
-        X = DocConceptMatrix(
+        X = _guard(
+            "matrix",
+            DocConceptMatrix,
             doc_ids=doc_ids,
             concept_ids=concept_ids,
             counts=_guard("matrix", read_sparse_counts, art.doc_matrix),
         )
-        C = CoocMatrix(
+        C = _guard(
+            "matrix",
+            CoocMatrix,
             concept_ids=concept_ids,
             counts=_guard("matrix", read_sparse_counts, art.cooc_matrix),
         )

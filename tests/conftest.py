@@ -1,8 +1,10 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conceptmine.lexicon import Concept, Lexicon
+from conceptmine.matrix import CSRCounts
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
@@ -29,4 +31,15 @@ def flat_lexicon(concept_ids: list[str]) -> Lexicon:
     return Lexicon(
         concepts=concepts,
         term_index={c.preferred_name.lower(): (c.id,) for c in concepts},
+    )
+
+
+def csr_from_dense(dense) -> CSRCounts:
+    """CSR counts holding the nonzero entries of a dense integer array."""
+    dense = np.asarray(dense, dtype=np.int64)
+    rows, cols = np.nonzero(dense)
+    indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.count_nonzero(dense, axis=1))
+    return CSRCounts(
+        indptr=indptr, indices=cols, data=dense[rows, cols], shape=dense.shape
     )

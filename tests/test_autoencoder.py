@@ -18,10 +18,10 @@ from conceptmine.autoencoder import (
     train,
 )
 from conceptmine.ingest import Corpus, Document
-from conceptmine.matrix import build_cooc_matrix, build_doc_concept_matrix
+from conceptmine.matrix import CoocMatrix, build_cooc_matrix, build_doc_concept_matrix
 from conceptmine.ner import Mention
 
-from conftest import flat_lexicon
+from conftest import csr_from_dense, flat_lexicon
 
 
 def oracle_loss(model: AEModel, X: np.ndarray) -> float:
@@ -272,13 +272,9 @@ class TestEncodeAll:
             encode_all(model, C)
 
     def test_322_concepts_to_50_dimensions(self):
-        from scipy import sparse
-
-        from conceptmine.matrix import CoocMatrix
-
         C = CoocMatrix(
             concept_ids=tuple(f"C{i:04d}" for i in range(322)),
-            counts=sparse.identity(322, dtype=np.int64, format="csr"),
+            counts=csr_from_dense(np.identity(322, dtype=np.int64)),
         )
         model = init_model(AEConfig(input_dim=322, encoded_dim=50, seed=0))
         assert encode_all(model, C, normalized=True).shape == (322, 50)

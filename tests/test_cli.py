@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,7 +12,7 @@ from conceptmine.ingest import save_corpus
 from conceptmine.lexicon import load_lexicon
 from conceptmine.synth import SynthSpec, generate
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO_ROOT
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +208,23 @@ class TestCommands:
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert metrics["baseline"]["precision"] == 0.0
         assert metrics["baseline"]["recall"] == 0.0
+
+
+def test_cli_imports_only_stdlib_and_numpy(tmp_path):
+    # Every conceptmine process pays for its imports, so a fresh
+    # interpreter importing the CLI may load no third-party package but numpy.
+    probe = (
+        "import sys; before = set(sys.modules); import conceptmine.cli; "
+        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
+    )
+    pythonpath = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=tmp_path, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    loaded = set(proc.stdout.split())
+    assert {"conceptmine", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"conceptmine", "numpy"}

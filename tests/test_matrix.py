@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conceptmine.ingest import Corpus, Document
 from conceptmine.matrix import (
+    CoocMatrix,
+    DocConceptMatrix,
     MatrixError,
     build_cooc_matrix,
     build_doc_concept_matrix,
@@ -21,7 +23,7 @@ from conceptmine.matrix import (
 )
 from conceptmine.ner import Mention
 
-from conftest import flat_lexicon
+from conftest import csr_from_dense, flat_lexicon
 
 
 def make_corpus(n):
@@ -35,6 +37,21 @@ def make_mention(doc_id, cid, filtered=False):
         doc_id=doc_id, concept_id=cid, start=0, end=1, surface="x",
         filtered=filtered, filter_reason="stoplist" if filtered else None,
     )
+
+
+def assert_same_csr(a, b):
+    assert tuple(a.shape) == tuple(b.shape)
+    for name in ("indptr", "indices", "data"):
+        got, expected = getattr(a, name), getattr(b, name)
+        assert got.dtype == expected.dtype == np.int64
+        assert got.tolist() == expected.tolist()
+
+
+def random_dense(rng, shape):
+    """Counts in 0..3, about a third of them nonzero, some rows all zero."""
+    dense = rng.integers(1, 4, size=shape) * (rng.random(shape) < 0.35)
+    dense[rng.random(shape[0]) < 0.25] = 0
+    return dense
 
 
 def random_instance(rng, max_docs=20, max_concepts=15):
@@ -107,7 +124,8 @@ class TestDocConceptMatrix:
                     1 for m in mentions
                     if not m.filtered and m.doc_id == doc.doc_id
                 )
-                assert X.counts[i].sum() == expected
+                lo, hi = X.counts.indptr[i], X.counts.indptr[i + 1]
+                assert X.counts.data[lo:hi].sum() == expected
 
     def test_independent_of_mention_order(self):
         rng = np.random.default_rng(22)
@@ -115,7 +133,7 @@ class TestDocConceptMatrix:
         a = build_doc_concept_matrix(corpus, mentions, lexicon)
         b = build_doc_concept_matrix(corpus, mentions[::-1], lexicon)
         assert a.concept_ids == b.concept_ids
-        assert (a.counts != b.counts).nnz == 0
+        assert_same_csr(a.counts, b.counts)
 
 
 class TestCoocMatrix:
@@ -289,13 +307,7 @@ class TestEmbeddings:
     def test_zero_row_returned_unchanged(self):
         # A zero row can only come from a padded index; the normalized
         # flag must be a no-op on it.
-        from scipy import sparse
-
-        from conceptmine.matrix import CoocMatrix
-
-        counts = sparse.csr_matrix(
-            np.array([[2, 0, 0], [0, 0, 0], [0, 0, 1]], dtype=np.int64)
-        )
+        counts = csr_from_dense([[2, 0, 0], [0, 0, 0], [0, 0, 1]])
         C = CoocMatrix(concept_ids=("A", "B", "C"), counts=counts)
         assert concept_embedding(C, 1).tolist() == [0.0, 0.0, 0.0]
         assert concept_embedding(C, 1, normalized=True).tolist() == [0.0, 0.0, 0.0]
@@ -361,15 +373,87 @@ class TestDocumentContextVector:
 
 def test_sparse_matrix_file_round_trip(tmp_path):
     rng = np.random.default_rng(26)
-    corpus, lexicon, mentions = random_instance(rng)
-    X = build_doc_concept_matrix(corpus, mentions, lexicon)
     path = tmp_path / "X.txt"
-    write_sparse_matrix(X, path)
-    counts = read_sparse_counts(path)
-    assert counts.shape == X.counts.shape
-    assert (counts != X.counts).nnz == 0
-    header = path.read_text(encoding="utf-8").splitlines()[0].split()
-    assert [int(header[0]), int(header[1])] == [X.n_docs, X.m_concepts]
+    for trial in range(30):
+        corpus, lexicon, mentions = random_instance(rng)
+        X = build_doc_concept_matrix(corpus, mentions, lexicon)
+        for matrix in (X, build_cooc_matrix(X)):
+            write_sparse_matrix(matrix, path)
+            assert_same_csr(read_sparse_counts(path), matrix.counts)
+            header = path.read_text(encoding="utf-8").splitlines()[0]
+            assert header == f"{matrix.counts.shape[0]} {X.m_concepts} {matrix.counts.nnz}"
+
+
+SHAPES = [(3, 0), (0, 0), (1, 1), (4, 9), (12, 7), (30, 15)]
+
+
+class TestCSRCounts:
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_read_matches_dense_in_any_entry_order(self, tmp_path, shape):
+        rng = np.random.default_rng(27)
+        path = tmp_path / "X.txt"
+        for trial in range(10):
+            dense = random_dense(rng, shape)
+            rows, cols = np.nonzero(dense)
+            order = rng.permutation(len(rows))
+            path.write_text(
+                f"{shape[0]} {shape[1]} {len(rows)}\n"
+                + "".join(f"{rows[k]} {cols[k]} {dense[rows[k], cols[k]]}\n" for k in order),
+                encoding="utf-8",
+            )
+            counts = read_sparse_counts(path)
+            assert counts.toarray().tolist() == dense.tolist()
+            assert counts.nnz == np.count_nonzero(dense)
+            assert_same_csr(counts, csr_from_dense(dense))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_cooc_is_binarized_gram_matrix(self, shape):
+        rng = np.random.default_rng(28)
+        for trial in range(10):
+            dense = random_dense(rng, shape)
+            X = DocConceptMatrix(
+                doc_ids=tuple(f"d{i}" for i in range(shape[0])),
+                concept_ids=tuple(f"C{j}" for j in range(shape[1])),
+                counts=csr_from_dense(dense),
+            )
+            binary = (dense > 0).astype(np.int64)
+            assert_same_csr(build_cooc_matrix(X).counts, csr_from_dense(binary.T @ binary))
+
+    def test_counts_must_fit_the_ids(self):
+        counts = csr_from_dense(np.ones((3, 2)))
+        with pytest.raises(MatrixError, match=r"\(3, 2\), ids give \(2, 2\)"):
+            DocConceptMatrix(doc_ids=("a", "b"), concept_ids=("C1", "C2"), counts=counts)
+        with pytest.raises(MatrixError, match=r"\(3, 2\), ids give \(2, 2\)"):
+            CoocMatrix(concept_ids=("C1", "C2"), counts=counts)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 2 1\n2 0 1\n", "entry 0 '2 0 1' is outside the 2 x 2 shape"),
+        ("2 2 2\n0 0 1\n1 2 1\n", "entry 1 '1 2 1' is outside the 2 x 2 shape"),
+        ("2 2 1\n-1 0 1\n", "entry 0 '-1 0 1' is outside the 2 x 2 shape"),
+        ("2 2 1\n0 0 1\n1 1 1\n", "entry 1 is past the header's nnz 1"),
+        ("2 2 3\n0 0 1\n1 1 1\n0 0 2\n", r"entry 2 repeats \(0, 0\)"),
+        ("2 2 2\n0 0 1\n1 1 0\n", "entry 1 '1 1 0' .* not a positive count"),
+        ("2 2 1\n1 1 -3\n", "entry 0 '1 1 -3' .* not a positive count"),
+        ("2 2 2\n0 0 1\n", "truncated triplet list at entry 1"),
+        ("2 2 1\n0 0\n", "truncated triplet list at entry 0"),
+        ("2 2\n", "bad header"),
+        ("2 -2 0\n", "bad header"),
+    ],
+    ids=[
+        "row-outside", "col-outside", "negative-index", "past-nnz", "repeated",
+        "zero-count", "negative-count", "short", "short-entry", "header-fields",
+        "negative-header",
+    ],
+)
+def test_read_rejects_what_the_writer_never_writes(tmp_path, text, message):
+    path = tmp_path / "X.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message) as info:
+        read_sparse_counts(path)
+    assert str(path) in str(info.value)
 
 
 def test_id_file_round_trip(tmp_path):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conceptmine.cli import main
 from conceptmine.config import load_config
 from conceptmine.pipeline import (
     Artifacts,
@@ -134,3 +135,20 @@ def test_artifact_stage_mapping(tmp_path):
     assert art.stage_of(art.model) == "autoencoder"
     assert art.stage_of(art.scored("raw")) == "score"
     assert art.stage_of(art.metrics) == "eval"
+
+
+def test_cached_matrix_must_fit_its_id_files(tmp_path, capsys):
+    corpus = [
+        {"id": "a", "text": "child abuse and child neglect at home."},
+        {"id": "b", "text": "bullying and child neglect."},
+    ]
+    config_path = write_inputs(tmp_path, corpus, [])
+    config = load_config(config_path)
+    run_pipeline(config, upto="matrix")
+    art = Artifacts(config.output_dir)
+    doc_order = art.doc_order.read_text(encoding="utf-8").splitlines(keepends=True)
+    art.doc_order.write_text("".join(doc_order[:-1]), encoding="utf-8")
+    with pytest.raises(PipelineError, match=r"stage matrix: counts shape \(2, 3\)"):
+        run_pipeline(config, upto="score")
+    assert main(["run", "--config", str(config_path), "--stage", "score"]) == 1
+    assert "stage matrix" in capsys.readouterr().err

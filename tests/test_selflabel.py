@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from conceptmine import autoencoder as ae
 from conceptmine.ingest import Corpus, Document
 from conceptmine.matrix import (
+    CSRCounts,
     DocConceptMatrix,
     build_cooc_matrix,
     build_doc_concept_matrix,
@@ -82,7 +82,7 @@ def random_scoring_setup(rng, n_docs=400, m=12):
     indptr = np.cumsum([0] + [len(r) for r in rows])
     indices = np.array([j for r in rows for j in r], dtype=np.int64)
     data = np.array([c for r in rows for c in r.values()], dtype=np.int64)
-    counts = sparse.csr_matrix((data, indices, indptr), shape=(len(rows), m))
+    counts = CSRCounts(indptr=indptr, indices=indices, data=data, shape=(len(rows), m))
     X = DocConceptMatrix(
         doc_ids=tuple(f"d{i:03d}" for i in range(len(rows))),
         concept_ids=tuple(f"C{j:02d}" for j in range(m)),
