@@ -259,16 +259,25 @@ def save_model(model: AEModel, path: str | Path, seed: int | None = None) -> Non
 
 
 def load_model(path: str | Path) -> AEModel:
+    """Read a :func:`save_model` file; every parameter's shape must agree
+    with the header and the activation must be known."""
     record = json.loads(Path(path).read_text(encoding="utf-8"))
     if record.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    model = AEModel(
-        W_enc=np.asarray(record["w_enc"], dtype=np.float64),
-        b_enc=np.asarray(record["b_enc"], dtype=np.float64),
-        W_dec=np.asarray(record["w_dec"], dtype=np.float64),
-        b_dec=np.asarray(record["b_dec"], dtype=np.float64),
+    if record["activation"] not in ACTIVATIONS:
+        raise ValueError(f"{path}: activation must be one of {ACTIVATIONS}")
+    k, m = record["encoded_dim"], record["input_dim"]
+    shapes = {"w_enc": (k, m), "b_enc": (k,), "w_dec": (m, k), "b_dec": (m,)}
+    params = {key: np.asarray(record[key], dtype=np.float64) for key in shapes}
+    for key, shape in shapes.items():
+        if params[key].shape != shape:
+            raise ValueError(
+                f"{path}: {key} has shape {params[key].shape}, header says {shape}"
+            )
+    return AEModel(
+        W_enc=params["w_enc"],
+        b_enc=params["b_enc"],
+        W_dec=params["w_dec"],
+        b_dec=params["b_dec"],
         activation=record["activation"],
     )
-    if model.W_enc.shape != (record["encoded_dim"], record["input_dim"]):
-        raise ValueError(f"{path}: parameter shapes disagree with header")
-    return model

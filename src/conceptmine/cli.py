@@ -14,7 +14,7 @@ from pathlib import Path
 from .config import ConfigError, PipelineConfig, load_config
 from .evaluate import read_pr_csv
 from .lexicon import load_lexicon
-from .pipeline import STAGES, Artifacts, PipelineError, lexicon_summary, run_pipeline
+from .pipeline import STAGES, PipelineError, lexicon_summary, run_pipeline, stage_of
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,21 +101,21 @@ def cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def _require(art: Artifacts, path: Path) -> Path:
+def _require(path: Path) -> Path:
     if not path.is_file():
         raise PipelineError(
-            art.stage_of(path),
+            stage_of(path.name),
             f"missing artifact {path.name}; run `conceptmine run` first",
         )
     return path
 
 
 def cmd_report(args: argparse.Namespace, config: PipelineConfig) -> int:
-    art = Artifacts(config.output_dir)
-    metrics = json.loads(_require(art, art.metrics).read_text(encoding="utf-8"))
-    auc = json.loads(_require(art, art.auc_summary).read_text(encoding="utf-8"))
+    root = config.output_dir
+    metrics = json.loads(_require(root / "metrics.json").read_text(encoding="utf-8"))
+    auc = json.loads(_require(root / "auc_summary.json").read_text(encoding="utf-8"))
     curves = {
-        space: read_pr_csv(_require(art, art.pr_csv(space)))
+        space: read_pr_csv(_require(root / f"pr_{space}.csv"))
         for space in ("raw", "encoded")
     }
     lexicon = load_lexicon(config.lexicon_path)
@@ -164,7 +164,7 @@ def cmd_report(args: argparse.Namespace, config: PipelineConfig) -> int:
     for space in ("raw", "encoded"):
         points = curves[space]
         print(f"  {space} embeddings: pr_auc {auc[space]:.6f} "
-              f"({len(points)} thresholds, {art.pr_csv(space).name})")
+              f"({len(points)} thresholds, pr_{space}.csv)")
         print(f"    {'threshold':>9} {'precision':>9} {'recall':>7}")
         for point in points:
             print(

@@ -12,6 +12,7 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .autoencoder import ACTIVATIONS
 from .ner import FilterRules
 from .selflabel import ThresholdSweep
 
@@ -149,7 +150,10 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
     enc_raw = overrides.get("encoded_dim")
     if enc_raw is None:
         enc_str = parser.get("autoencoder", "encoded_dim", fallback="auto").strip()
-        encoded_dim = None if enc_str.lower() == "auto" else int(enc_str)
+        if enc_str.lower() == "auto":
+            encoded_dim = None
+        else:
+            encoded_dim = _num("autoencoder", "encoded_dim", None, int)
     else:
         encoded_dim = int(enc_raw)  # type: ignore[arg-type]
     ae = AESettings(
@@ -167,6 +171,11 @@ def load_config(path: str | Path, overrides: dict[str, object] | None = None) ->
             "autoencoder", "activation", fallback=AESettings.activation
         ).strip(),
     )
+    if ae.activation not in ACTIVATIONS:
+        raise ConfigError(
+            f"{path}: autoencoder.activation: expected one of {ACTIVATIONS}, "
+            f"got {ae.activation!r}"
+        )
 
     sweep_raw = parser.get("selflabel", "thresholds", fallback=None)
     if sweep_raw is None:

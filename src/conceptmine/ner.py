@@ -234,37 +234,39 @@ def find_corpus_mentions(
     return mentions
 
 
+def mention_record(m: Mention) -> dict[str, object]:
+    """The JSON record of one mention, as ``mentions.jsonl`` and the
+    scored mention files hold it."""
+    return {
+        "doc_id": m.doc_id,
+        "concept_id": m.concept_id,
+        "start": m.start,
+        "end": m.end,
+        "surface": m.surface,
+        "filtered": m.filtered,
+        "filter_reason": m.filter_reason,
+    }
+
+
+def mention_from_record(record: dict[str, object]) -> Mention:
+    """Inverse of :func:`mention_record`; other keys are ignored."""
+    return Mention(
+        doc_id=record["doc_id"],
+        concept_id=record["concept_id"],
+        start=record["start"],
+        end=record["end"],
+        surface=record["surface"],
+        filtered=record["filtered"],
+        filter_reason=record["filter_reason"],
+    )
+
+
 def write_mentions(mentions: Iterable[Mention], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as handle:
         for m in sorted(mentions, key=Mention.sort_key):
-            record = {
-                "doc_id": m.doc_id,
-                "concept_id": m.concept_id,
-                "start": m.start,
-                "end": m.end,
-                "surface": m.surface,
-                "filtered": m.filtered,
-                "filter_reason": m.filter_reason,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(json.dumps(mention_record(m), ensure_ascii=False) + "\n")
 
 
 def read_mentions(path: str | Path) -> list[Mention]:
-    mentions = []
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            mentions.append(
-                Mention(
-                    doc_id=record["doc_id"],
-                    concept_id=record["concept_id"],
-                    start=record["start"],
-                    end=record["end"],
-                    surface=record["surface"],
-                    filtered=record["filtered"],
-                    filter_reason=record["filter_reason"],
-                )
-            )
-    return mentions
+        return [mention_from_record(json.loads(line)) for line in handle if line.strip()]

@@ -1,18 +1,25 @@
 """End-to-end pipeline: NER, matrices, autoencoder, scoring, evaluation.
 
-Stages write their artifacts under the configured output directory and
-later stages can start from those cached files, so any prefix of the
-pipeline reruns without recomputing what exists. All outputs are
-canonically ordered; reruns with the same config and seed are
-byte-identical regardless of thread count.
+The pipeline is one table of stages in run order. Each entry names the
+stage, the files it writes under the output directory, ``compute`` (a
+pure computation plus the writers of those files) and ``read`` (the
+cached load; ``eval`` has none). :func:`run_pipeline` walks the table
+once. A stage is read from its files only when ``upto`` names a later
+stage and all of its files exist; otherwise it is computed. A cached
+mention list or matrix that does not fit the corpus is an error; config
+changes are not detected. Any exception inside a stage becomes a
+:class:`PipelineError` naming it. All outputs are canonically ordered;
+reruns with the same config and seed are byte-identical regardless of
+thread count.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import autoencoder as ae
 from . import evaluate as ev
@@ -39,9 +46,15 @@ from .matrix import (
     write_sparse_matrix,
 )
 from .ner import Mention, find_corpus_mentions, read_mentions, write_mentions
-from .selflabel import ScoredMention, score_mentions, write_label_files, write_scored
+from .selflabel import (
+    ScoredMention,
+    read_scored,
+    score_mentions,
+    write_label_files,
+    write_scored,
+)
 
-STAGES = ("ner", "matrix", "autoencoder", "score", "eval")
+SELECTED_CONCEPTS = "selected_concepts.txt"
 
 
 class PipelineError(RuntimeError):
@@ -50,80 +63,6 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
-
-
-@dataclass(frozen=True)
-class Artifacts:
-    """Canonical artifact paths under one output directory."""
-
-    root: Path
-
-    @property
-    def selected_concepts(self) -> Path:
-        return self.root / "selected_concepts.txt"
-
-    @property
-    def mentions(self) -> Path:
-        return self.root / "mentions.jsonl"
-
-    @property
-    def doc_matrix(self) -> Path:
-        return self.root / "doc_concept_matrix.txt"
-
-    @property
-    def doc_order(self) -> Path:
-        return self.root / "doc_order.txt"
-
-    @property
-    def concept_order(self) -> Path:
-        return self.root / "concept_order.txt"
-
-    @property
-    def cooc_matrix(self) -> Path:
-        return self.root / "cooc_matrix.txt"
-
-    @property
-    def model(self) -> Path:
-        return self.root / "autoencoder.json"
-
-    @property
-    def train_report(self) -> Path:
-        return self.root / "train_report.json"
-
-    def scored(self, space: str) -> Path:
-        return self.root / f"scored_{space}.jsonl"
-
-    def labels_dir(self, space: str) -> Path:
-        return self.root / f"labels_{space}"
-
-    def pr_csv(self, space: str) -> Path:
-        return self.root / f"pr_{space}.csv"
-
-    @property
-    def metrics(self) -> Path:
-        return self.root / "metrics.json"
-
-    @property
-    def auc_summary(self) -> Path:
-        return self.root / "auc_summary.json"
-
-    def stage_of(self, path: Path) -> str:
-        names = {
-            self.mentions.name: "ner",
-            self.doc_matrix.name: "matrix",
-            self.doc_order.name: "matrix",
-            self.concept_order.name: "matrix",
-            self.cooc_matrix.name: "matrix",
-            self.model.name: "autoencoder",
-            self.train_report.name: "autoencoder",
-            self.scored("raw").name: "score",
-            self.scored("encoded").name: "score",
-            self.pr_csv("raw").name: "eval",
-            self.pr_csv("encoded").name: "eval",
-            self.metrics.name: "eval",
-            self.auc_summary.name: "eval",
-        }
-        return names.get(path.name, "run")
 
 
 @dataclass(frozen=True)
@@ -143,6 +82,33 @@ class RunResult:
         return abs(self.auc_raw - self.auc_encoded)
 
 
+@dataclass
+class _Run:
+    """The inputs every stage sees, plus the result of each stage so far."""
+
+    config: PipelineConfig
+    lexicon: Lexicon
+    corpus: Corpus
+    vocab: Vocabulary
+    mentions: list[Mention] = field(default_factory=list)
+    X: DocConceptMatrix | None = None
+    C: CoocMatrix | None = None
+    model: ae.AEModel | None = None
+    scored: dict[str, list[ScoredMention]] = field(default_factory=dict)
+    aucs: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One table entry. ``compute`` and ``read`` take the run and the
+    paths of ``files``, in order."""
+
+    name: str
+    files: tuple[str, ...]
+    compute: Callable[..., None]
+    read: Callable[..., None] | None = None
+
+
 def select_concepts(
     lexicon: Lexicon, expand_groups: tuple[str, ...]
 ) -> set[ConceptId]:
@@ -152,11 +118,187 @@ def select_concepts(
     return extract_leaf_concepts(lexicon) | expand_descendants(lexicon, roots)
 
 
-def _guard(stage: str, fn, *args, **kwargs):
+def _ner(run: _Run, path: Path) -> None:
+    run.mentions = find_corpus_mentions(
+        run.corpus, run.vocab, rules=run.config.rules, threads=run.config.threads
+    )
+    write_mentions(run.mentions, path)
+
+
+def _read_ner(run: _Run, path: Path) -> None:
+    run.mentions = read_mentions(path)
+    texts = {doc.doc_id: doc.text for doc in run.corpus.docs}
+    for m in run.mentions:
+        text = texts.get(m.doc_id)
+        if text is None or text[m.start : m.end] != m.surface:
+            raise ValueError(
+                f"cached mention {m.surface!r} at {m.doc_id}:{m.start}-{m.end} "
+                "does not fit the corpus; rerun without --stage"
+            )
+
+
+def _matrix(
+    run: _Run, doc_matrix: Path, doc_order: Path, concept_order: Path, cooc: Path
+) -> None:
+    run.X = build_doc_concept_matrix(run.corpus, run.mentions, run.lexicon)
+    run.C = build_cooc_matrix(run.X)
+    write_sparse_matrix(run.X, doc_matrix)
+    write_id_file(run.X.doc_ids, doc_order)
+    write_id_file(run.X.concept_ids, concept_order)
+    write_sparse_matrix(run.C, cooc)
+
+
+def _read_matrix(
+    run: _Run, doc_matrix: Path, doc_order: Path, concept_order: Path, cooc: Path
+) -> None:
+    concept_ids = read_id_file(concept_order)
+    run.X = DocConceptMatrix(
+        doc_ids=read_id_file(doc_order),
+        concept_ids=concept_ids,
+        counts=read_sparse_counts(doc_matrix),
+    )
+    run.C = CoocMatrix(concept_ids=concept_ids, counts=read_sparse_counts(cooc))
+    if run.X.doc_ids != run.corpus.doc_ids():
+        raise ValueError(
+            f"cached {doc_order.name} does not list the corpus's documents; "
+            "rerun without --stage"
+        )
+
+
+def _autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
+    config = run.config
+    m = run.C.m_concepts
+    if m < 2:
+        raise ValueError(f"need at least 2 observed concepts to train, got {m}")
+    # encoded_dim 0 is not "auto": it reaches AEConfig and fails there.
+    encoded_dim = config.ae.encoded_dim
+    ae_config = ae.AEConfig(
+        input_dim=m,
+        encoded_dim=max(1, m // 4) if encoded_dim is None else encoded_dim,
+        learning_rate=config.ae.learning_rate,
+        epochs=config.ae.epochs,
+        batch_size=config.ae.batch_size,
+        seed=config.seed,
+        activation=config.ae.activation,
+    )
+    data = concept_embeddings(run.C, normalized=config.normalized)
+    run.model, report = ae.train(ae.init_model(ae_config), data, ae_config)
+    ae.save_model(run.model, model_path, seed=config.seed)
+    report_doc = {
+        "seed": report.seed,
+        "final_loss": report.final_loss,
+        "loss_per_epoch": list(report.loss_per_epoch),
+    }
+    report_path.write_text(json.dumps(report_doc, indent=1) + "\n", encoding="utf-8")
+
+
+def _read_autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
+    run.model = ae.load_model(model_path)
+
+
+def _score(
+    run: _Run, raw: Path, encoded: Path, raw_labels: Path, encoded_labels: Path
+) -> None:
+    embeddings = {
+        "raw": concept_embeddings(run.C, normalized=run.config.normalized),
+        "encoded": ae.encode_all(run.model, run.C, normalized=run.config.normalized),
+    }
+    outputs = {"raw": (raw, raw_labels), "encoded": (encoded, encoded_labels)}
+    scoreable = [m for m in run.mentions if run.X.has_concept(m.concept_id)]
+    rest = [m for m in run.mentions if not run.X.has_concept(m.concept_id)]
+    for space, (scored_path, labels_dir) in outputs.items():
+        scored = score_mentions(scoreable, run.X, embeddings[space])
+        # Concepts never seen unfiltered have no embedding row; their
+        # mentions are all filtered, score them 0 so no record is lost.
+        scored += [ScoredMention(mention=m, score=0.0) for m in rest]
+        scored.sort(key=lambda s: s.mention.sort_key())
+        run.scored[space] = scored
+        write_scored(scored, scored_path)
+        write_label_files(scored, run.config.sweep, labels_dir)
+
+
+def _read_score(run: _Run, raw: Path, encoded: Path, *labels: Path) -> None:
+    run.scored = {"raw": read_scored(raw), "encoded": read_scored(encoded)}
+
+
+def _eval(
+    run: _Run, raw_pr: Path, encoded_pr: Path, metrics_path: Path, auc_path: Path
+) -> None:
+    gold = ev.load_gold(run.config.gold_path, run.corpus)
+    baseline_predicted = [(m, not m.filtered) for m in run.mentions]
+    baseline_counts = ev.match_to_gold(baseline_predicted, gold)
+    baseline = ev.compute_metrics(baseline_counts)
+    per_concept = ev.per_concept_metrics(baseline_predicted, gold, run.lexicon)
+
+    aucs = run.aucs
+    for space, pr_path in (("raw", raw_pr), ("encoded", encoded_pr)):
+        points = ev.pr_sweep(run.scored[space], gold, run.config.sweep)
+        ev.write_pr_csv(points, pr_path)
+        aucs[space] = ev.pr_auc(points)
+    gap = abs(aucs["raw"] - aucs["encoded"])
+
+    metrics_doc = {
+        "gold": {
+            "total": len(gold),
+            "true": sum(1 for g in gold if g.is_true),
+            "not_aces": sum(1 for g in gold if not g.is_true),
+        },
+        "baseline": {**asdict(baseline_counts), **baseline._asdict()},
+        "per_concept": {cid: m._asdict() for cid, m in per_concept.items()},
+        "selflabel": {
+            "raw": {"pr_auc": aucs["raw"]},
+            "encoded": {"pr_auc": aucs["encoded"]},
+            "auc_gap": gap,
+        },
+    }
+    metrics_path.write_text(
+        json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    auc_doc = {"raw": aucs["raw"], "encoded": aucs["encoded"], "gap": gap}
+    auc_path.write_text(
+        json.dumps(auc_doc, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+_TABLE = (
+    _Stage("ner", ("mentions.jsonl",), _ner, _read_ner),
+    _Stage(
+        "matrix",
+        ("doc_concept_matrix.txt", "doc_order.txt", "concept_order.txt", "cooc_matrix.txt"),
+        _matrix,
+        _read_matrix,
+    ),
+    _Stage(
+        "autoencoder",
+        ("autoencoder.json", "train_report.json"),
+        _autoencoder,
+        _read_autoencoder,
+    ),
+    _Stage(
+        "score",
+        ("scored_raw.jsonl", "scored_encoded.jsonl", "labels_raw", "labels_encoded"),
+        _score,
+        _read_score,
+    ),
+    _Stage(
+        "eval",
+        ("pr_raw.csv", "pr_encoded.csv", "metrics.json", "auc_summary.json"),
+        _eval,
+    ),
+)
+
+STAGES = tuple(stage.name for stage in _TABLE)
+
+
+def stage_of(name: str) -> str:
+    """The stage that writes the output file ``name``; "run" for any other."""
+    return next((stage.name for stage in _TABLE if name in stage.files), "run")
+
+
+@contextmanager
+def _failing_as(stage: str) -> Iterator[None]:
     try:
-        return fn(*args, **kwargs)
-    except PipelineError:
-        raise
+        yield
     except Exception as exc:
         raise PipelineError(stage, str(exc)) from exc
 
@@ -165,277 +307,38 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
     """Run the pipeline.
 
     With ``upto=None`` every stage is computed fresh. With a stage name,
-    stages before it reuse their cached artifacts when present and the
-    named stage itself is recomputed; the run stops after it.
+    stages before it reuse their cached artifacts when all are present
+    and the named stage itself is recomputed; the run stops after it.
     """
-    fresh = upto is None
-    if fresh:
-        limit = len(STAGES) - 1
-    elif upto in STAGES:
-        limit = STAGES.index(upto)
-    else:
+    if upto is not None and upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}, expected one of {STAGES}")
-    art = Artifacts(config.output_dir)
-    art.root.mkdir(parents=True, exist_ok=True)
+    root = config.output_dir
+    root.mkdir(parents=True, exist_ok=True)
+    with _failing_as("run"):
+        lexicon = load_lexicon(config.lexicon_path)
+        corpus = load_corpus(config.corpus_path)
+        selected = select_concepts(lexicon, config.expand_groups)
+        vocab = build_vocabulary(lexicon, selected)
+        write_id_file(sorted(selected), root / SELECTED_CONCEPTS)
 
-    lexicon = _guard("run", load_lexicon, config.lexicon_path)
-    corpus: Corpus = _guard("run", load_corpus, config.corpus_path)
-    selected = _guard("run", select_concepts, lexicon, config.expand_groups)
-    vocab: Vocabulary = _guard("run", build_vocabulary, lexicon, selected)
-    write_id_file(sorted(selected), art.selected_concepts)
+    run = _Run(config, lexicon, corpus, vocab)
+    for stage in _TABLE[: STAGES.index(upto or STAGES[-1]) + 1]:
+        paths = [root / name for name in stage.files]
+        with _failing_as(stage.name):
+            if upto not in (None, stage.name) and all(p.exists() for p in paths):
+                stage.read(run, *paths)
+            else:
+                stage.compute(run, *paths)
 
-    mentions = _stage_ner(
-        config, art, corpus, vocab, recompute=fresh or limit == 0
-    )
-    result = RunResult(
+    return RunResult(
         n_docs=len(corpus),
-        n_mentions=len(mentions),
-        n_unfiltered=sum(1 for m in mentions if not m.filtered),
-        m_concepts=0,
-        encoded_dim=None,
-        auc_raw=None,
-        auc_encoded=None,
+        n_mentions=len(run.mentions),
+        n_unfiltered=sum(1 for m in run.mentions if not m.filtered),
+        m_concepts=run.X.m_concepts if run.X is not None else 0,
+        encoded_dim=run.model.encoded_dim if run.model is not None else None,
+        auc_raw=run.aucs.get("raw"),
+        auc_encoded=run.aucs.get("encoded"),
     )
-    if limit == 0:
-        return result
-
-    X, C = _stage_matrix(
-        config, art, corpus, mentions, lexicon, recompute=fresh or limit == 1
-    )
-    result = dataclasses.replace(result, m_concepts=X.m_concepts)
-    if limit == 1:
-        return result
-
-    model = _stage_autoencoder(config, art, C, recompute=fresh or limit == 2)
-    result = dataclasses.replace(result, encoded_dim=model.encoded_dim)
-    if limit == 2:
-        return result
-
-    scored = _stage_score(
-        config, art, mentions, X, C, model, recompute=fresh or limit == 3
-    )
-    if limit == 3:
-        return result
-
-    auc_raw, auc_encoded = _stage_eval(config, art, corpus, lexicon, mentions, scored)
-    return dataclasses.replace(result, auc_raw=auc_raw, auc_encoded=auc_encoded)
-
-
-def _stage_ner(
-    config: PipelineConfig,
-    art: Artifacts,
-    corpus: Corpus,
-    vocab: Vocabulary,
-    recompute: bool,
-) -> list[Mention]:
-    if not recompute and art.mentions.is_file():
-        return _guard("ner", read_mentions, art.mentions)
-    mentions = _guard(
-        "ner",
-        find_corpus_mentions,
-        corpus,
-        vocab,
-        rules=config.rules,
-        threads=config.threads,
-    )
-    write_mentions(mentions, art.mentions)
-    return mentions
-
-
-def _stage_matrix(
-    config: PipelineConfig,
-    art: Artifacts,
-    corpus: Corpus,
-    mentions: list[Mention],
-    lexicon: Lexicon,
-    recompute: bool,
-) -> tuple[DocConceptMatrix, CoocMatrix]:
-    cached = (art.doc_matrix, art.doc_order, art.concept_order, art.cooc_matrix)
-    if not recompute and all(p.is_file() for p in cached):
-        doc_ids = read_id_file(art.doc_order)
-        concept_ids = read_id_file(art.concept_order)
-        X = _guard(
-            "matrix",
-            DocConceptMatrix,
-            doc_ids=doc_ids,
-            concept_ids=concept_ids,
-            counts=_guard("matrix", read_sparse_counts, art.doc_matrix),
-        )
-        C = _guard(
-            "matrix",
-            CoocMatrix,
-            concept_ids=concept_ids,
-            counts=_guard("matrix", read_sparse_counts, art.cooc_matrix),
-        )
-        return X, C
-    X = _guard("matrix", build_doc_concept_matrix, corpus, mentions, lexicon)
-    C = _guard("matrix", build_cooc_matrix, X)
-    write_sparse_matrix(X, art.doc_matrix)
-    write_id_file(X.doc_ids, art.doc_order)
-    write_id_file(X.concept_ids, art.concept_order)
-    write_sparse_matrix(C, art.cooc_matrix)
-    return X, C
-
-
-def _auto_encoded_dim(m: int, configured: int | None) -> int:
-    if configured is not None:
-        return configured
-    return max(1, m // 4)
-
-
-def _stage_autoencoder(
-    config: PipelineConfig, art: Artifacts, C: CoocMatrix, recompute: bool
-) -> ae.AEModel:
-    if not recompute and art.model.is_file():
-        return _guard("autoencoder", ae.load_model, art.model)
-    m = C.m_concepts
-    if m < 2:
-        raise PipelineError(
-            "autoencoder",
-            f"need at least 2 observed concepts to train, got {m}",
-        )
-    encoded_dim = _auto_encoded_dim(m, config.ae.encoded_dim)
-    ae_config = ae.AEConfig(
-        input_dim=m,
-        encoded_dim=encoded_dim,
-        learning_rate=config.ae.learning_rate,
-        epochs=config.ae.epochs,
-        batch_size=config.ae.batch_size,
-        seed=config.seed,
-        activation=config.ae.activation,
-    )
-    data = concept_embeddings(C, normalized=config.normalized)
-    model = _guard("autoencoder", ae.init_model, ae_config)
-    model, report = _guard("autoencoder", ae.train, model, data, ae_config)
-    ae.save_model(model, art.model, seed=config.seed)
-    art.train_report.write_text(
-        json.dumps(
-            {
-                "seed": report.seed,
-                "final_loss": report.final_loss,
-                "loss_per_epoch": list(report.loss_per_epoch),
-            },
-            indent=1,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    return model
-
-
-def _split_scoreable(
-    mentions: list[Mention], X: DocConceptMatrix
-) -> tuple[list[Mention], list[Mention]]:
-    scoreable = [m for m in mentions if X.has_concept(m.concept_id)]
-    rest = [m for m in mentions if not X.has_concept(m.concept_id)]
-    return scoreable, rest
-
-
-def _stage_score(
-    config: PipelineConfig,
-    art: Artifacts,
-    mentions: list[Mention],
-    X: DocConceptMatrix,
-    C: CoocMatrix,
-    model: ae.AEModel,
-    recompute: bool,
-) -> dict[str, list[ScoredMention]]:
-    from .selflabel import read_scored
-
-    cached = (art.scored("raw"), art.scored("encoded"))
-    if not recompute and all(p.is_file() for p in cached):
-        return {
-            "raw": _guard("score", read_scored, art.scored("raw")),
-            "encoded": _guard("score", read_scored, art.scored("encoded")),
-        }
-    spaces = {
-        "raw": concept_embeddings(C, normalized=config.normalized),
-        "encoded": _guard(
-            "score", ae.encode_all, model, C, normalized=config.normalized
-        ),
-    }
-    scoreable, rest = _split_scoreable(mentions, X)
-    out: dict[str, list[ScoredMention]] = {}
-    for space, embeddings in spaces.items():
-        scored = _guard("score", score_mentions, scoreable, X, embeddings)
-        # Concepts never seen unfiltered have no embedding row; their
-        # mentions are all filtered, score them 0 so no record is lost.
-        scored += [ScoredMention(mention=m, score=0.0) for m in rest]
-        scored.sort(key=lambda s: s.mention.sort_key())
-        out[space] = scored
-        write_scored(scored, art.scored(space))
-        write_label_files(scored, config.sweep, art.labels_dir(space))
-    return out
-
-
-def _stage_eval(
-    config: PipelineConfig,
-    art: Artifacts,
-    corpus: Corpus,
-    lexicon: Lexicon,
-    mentions: list[Mention],
-    scored: dict[str, list[ScoredMention]],
-) -> tuple[float, float]:
-    gold = _guard("eval", ev.load_gold, config.gold_path, corpus)
-    baseline_predicted = [(m, not m.filtered) for m in mentions]
-    baseline_counts = _guard("eval", ev.match_to_gold, baseline_predicted, gold)
-    baseline = ev.compute_metrics(baseline_counts)
-    per_concept = _guard(
-        "eval", ev.per_concept_metrics, baseline_predicted, gold, lexicon
-    )
-
-    aucs: dict[str, float] = {}
-    for space in ("raw", "encoded"):
-        points = _guard("eval", ev.pr_sweep, scored[space], gold, config.sweep)
-        ev.write_pr_csv(points, art.pr_csv(space))
-        aucs[space] = _guard("eval", ev.pr_auc, points)
-
-    metrics_doc = {
-        "gold": {
-            "total": len(gold),
-            "true": sum(1 for g in gold if g.is_true),
-            "not_aces": sum(1 for g in gold if not g.is_true),
-        },
-        "baseline": {
-            "tp": baseline_counts.tp,
-            "fp": baseline_counts.fp,
-            "fn": baseline_counts.fn,
-            "precision": baseline.precision,
-            "recall": baseline.recall,
-            "f1": baseline.f1,
-        },
-        "per_concept": {
-            cid: {
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "support": m.support,
-            }
-            for cid, m in per_concept.items()
-        },
-        "selflabel": {
-            "raw": {"pr_auc": aucs["raw"]},
-            "encoded": {"pr_auc": aucs["encoded"]},
-            "auc_gap": abs(aucs["raw"] - aucs["encoded"]),
-        },
-    }
-    art.metrics.write_text(
-        json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    art.auc_summary.write_text(
-        json.dumps(
-            {
-                "raw": aucs["raw"],
-                "encoded": aucs["encoded"],
-                "gap": abs(aucs["raw"] - aucs["encoded"]),
-            },
-            indent=1,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    return aucs["raw"], aucs["encoded"]
 
 
 def lexicon_summary(config: PipelineConfig) -> dict[str, object]:
@@ -448,8 +351,8 @@ def lexicon_summary(config: PipelineConfig) -> dict[str, object]:
     selected = select_concepts(lexicon, config.expand_groups)
     vocab = build_vocabulary(lexicon, selected)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    art = Artifacts(config.output_dir)
-    write_id_file(sorted(selected), art.selected_concepts)
+    selected_path = config.output_dir / SELECTED_CONCEPTS
+    write_id_file(sorted(selected), selected_path)
     return {
         "concepts": len(lexicon),
         "terms": lexicon.n_terms(),
@@ -458,5 +361,5 @@ def lexicon_summary(config: PipelineConfig) -> dict[str, object]:
         "expanded": len(expanded),
         "selected": len(selected),
         "patterns": len(vocab),
-        "selected_path": str(art.selected_concepts),
+        "selected_path": str(selected_path),
     }

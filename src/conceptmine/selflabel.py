@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .matrix import DocConceptMatrix
-from .ner import Mention
+from .ner import Mention, mention_from_record, mention_record
 
 # Mentions scored per block; bounds the (block, dim) context buffers.
 SCORE_BLOCK = 1024
@@ -177,32 +177,18 @@ def write_scored(scored: Sequence[ScoredMention], path: str | Path) -> None:
     ordered = sorted(scored, key=lambda s: s.mention.sort_key())
     with Path(path).open("w", encoding="utf-8") as handle:
         for s in ordered:
-            m = s.mention
-            record = {
-                "doc_id": m.doc_id,
-                "concept_id": m.concept_id,
-                "start": m.start,
-                "end": m.end,
-                "surface": m.surface,
-                "filtered": m.filtered,
-                "filter_reason": m.filter_reason,
-                "score": s.score,
-            }
+            record = mention_record(s.mention)
+            record["score"] = s.score
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def read_scored(path: str | Path) -> list[ScoredMention]:
-    scored = []
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            score = record.pop("score")
-            scored.append(
-                ScoredMention(mention=Mention(**record), score=score)
-            )
-    return scored
+        records = (json.loads(line) for line in handle if line.strip())
+        return [
+            ScoredMention(mention=mention_from_record(r), score=r["score"])
+            for r in records
+        ]
 
 
 def write_labels_csv(

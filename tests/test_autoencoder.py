@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -293,6 +294,26 @@ def test_model_file_round_trips_bit_exactly(tmp_path):
     again = tmp_path / "model2.json"
     save_model(loaded, again, seed=config.seed)
     assert path.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("b_enc", [5.0]),
+        ("w_dec", [[0.0]]),
+        ("b_dec", [1.0]),
+        ("activation", "relu"),
+    ],
+    ids=["b_enc", "w_dec", "b_dec", "activation"],
+)
+def test_load_model_checks_every_parameter(tmp_path, key, value):
+    path = tmp_path / "model.json"
+    save_model(init_model(AEConfig(input_dim=7, encoded_dim=3, seed=1)), path)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record[key] = value
+    path.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"model.json: {key}"):
+        load_model(path)
 
 
 def test_batched_forward_matches_single(tmp_path):

@@ -105,6 +105,27 @@ class TestLoadConfig:
         assert main(["run", "--config", str(path)]) == 2
         assert "0.1234562" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, line",
+        [
+            ("encoded_dim", "encoded_dim = abc"),
+            ("activation", "encoded_dim = auto\nactivation = relu"),
+        ],
+        ids=["encoded_dim", "activation"],
+    )
+    def test_bad_autoencoder_value_exits_2(self, small_setup, capsys, option, line):
+        path = small_setup / f"bad_{option}.ini"
+        path.write_text(
+            (small_setup / "config.ini")
+            .read_text(encoding="utf-8")
+            .replace("encoded_dim = auto", line),
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match=f"autoencoder.{option}"):
+            load_config(path)
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"config error: {path}: autoencoder.{option}" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_lexicon_summary(self, small_setup, capsys):

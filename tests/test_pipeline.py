@@ -5,10 +5,12 @@ import pytest
 from conceptmine.cli import main
 from conceptmine.config import load_config
 from conceptmine.pipeline import (
-    Artifacts,
+    SELECTED_CONCEPTS,
+    STAGES,
     PipelineError,
     run_pipeline,
     select_concepts,
+    stage_of,
 )
 from conceptmine.lexicon import load_lexicon
 
@@ -59,8 +61,8 @@ def test_degenerate_corpus_fails_at_autoencoder_stage(tmp_path):
     # Prefix stages run fine and write an empty matrix.
     result = run_pipeline(config, upto="matrix")
     assert result.m_concepts == 0
-    art = Artifacts(config.output_dir)
-    header = art.doc_matrix.read_text(encoding="utf-8").splitlines()[0]
+    doc_matrix = config.output_dir / "doc_concept_matrix.txt"
+    header = doc_matrix.read_text(encoding="utf-8").splitlines()[0]
     assert header == "1 0 0"
     with pytest.raises(PipelineError, match="stage autoencoder"):
         run_pipeline(config)
@@ -101,8 +103,7 @@ def test_tiny_end_to_end_run_result(tmp_path):
     assert result.encoded_dim == 2
     assert result.auc_raw is not None
     assert result.auc_gap is not None
-    art = Artifacts(config.output_dir)
-    metrics = json.loads(art.metrics.read_text(encoding="utf-8"))
+    metrics = json.loads((config.output_dir / "metrics.json").read_text(encoding="utf-8"))
     assert metrics["gold"]["true"] == 2
     assert metrics["baseline"]["tp"] == 2
 
@@ -121,20 +122,19 @@ def test_rerun_with_fewer_thresholds_leaves_no_stale_label_files(tmp_path):
         )
     )
     run_pipeline(config)
-    art = Artifacts(config.output_dir)
     for space in ("raw", "encoded"):
-        assert sorted(p.name for p in art.labels_dir(space).iterdir()) == [
+        labels_dir = config.output_dir / f"labels_{space}"
+        assert sorted(p.name for p in labels_dir.iterdir()) == [
             "threshold_0.33.csv", "threshold_0.66.csv",
         ]
 
 
-def test_artifact_stage_mapping(tmp_path):
-    art = Artifacts(tmp_path)
-    assert art.stage_of(art.mentions) == "ner"
-    assert art.stage_of(art.cooc_matrix) == "matrix"
-    assert art.stage_of(art.model) == "autoencoder"
-    assert art.stage_of(art.scored("raw")) == "score"
-    assert art.stage_of(art.metrics) == "eval"
+def test_artifact_stage_mapping():
+    assert stage_of("mentions.jsonl") == "ner"
+    assert stage_of("cooc_matrix.txt") == "matrix"
+    assert stage_of("autoencoder.json") == "autoencoder"
+    assert stage_of("scored_raw.jsonl") == "score"
+    assert stage_of("metrics.json") == "eval"
 
 
 def test_cached_matrix_must_fit_its_id_files(tmp_path, capsys):
@@ -145,10 +145,56 @@ def test_cached_matrix_must_fit_its_id_files(tmp_path, capsys):
     config_path = write_inputs(tmp_path, corpus, [])
     config = load_config(config_path)
     run_pipeline(config, upto="matrix")
-    art = Artifacts(config.output_dir)
-    doc_order = art.doc_order.read_text(encoding="utf-8").splitlines(keepends=True)
-    art.doc_order.write_text("".join(doc_order[:-1]), encoding="utf-8")
+    doc_order_path = config.output_dir / "doc_order.txt"
+    doc_order = doc_order_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    doc_order_path.write_text("".join(doc_order[:-1]), encoding="utf-8")
     with pytest.raises(PipelineError, match=r"stage matrix: counts shape \(2, 3\)"):
         run_pipeline(config, upto="score")
     assert main(["run", "--config", str(config_path), "--stage", "score"]) == 1
     assert "stage matrix" in capsys.readouterr().err
+
+
+TINY_CORPUS = [
+    {"id": "a", "text": "child abuse and child neglect at home."},
+    {"id": "b", "text": "child abuse again, then emotional neglect."},
+    {"id": "c", "text": "bullying and child neglect."},
+]
+TINY_AE = "[autoencoder]\nencoded_dim = 2\nepochs = 5\n"
+
+
+def test_cached_artifacts_must_fit_the_corpus(tmp_path, capsys):
+    config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
+    config = load_config(config_path)
+    run_pipeline(config)
+    # Same ids, other texts: every cached mention's surface is stale.
+    shifted = [{"id": d["id"], "text": "so " + d["text"]} for d in TINY_CORPUS]
+    write_inputs(tmp_path, shifted, [], TINY_AE)
+    with pytest.raises(PipelineError, match=r"stage ner: cached mention 'child abuse' at a:0-11"):
+        run_pipeline(config, upto="eval")
+    assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 1
+    assert "rerun without --stage" in capsys.readouterr().err
+
+    run_pipeline(config)
+    # One more document: the cached mentions still fit, the matrix rows do not.
+    write_inputs(tmp_path, shifted + [{"id": "d", "text": "bullying"}], [], TINY_AE)
+    with pytest.raises(PipelineError, match="stage matrix: cached doc_order.txt"):
+        run_pipeline(config, upto="eval")
+    assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 1
+    assert "stage matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, stage", [("mentions.jsonl", "ner"), ("autoencoder.json", "autoencoder")]
+)
+def test_unwritable_artifact_names_its_stage(tmp_path, capsys, name, stage):
+    config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert f"error: stage {stage}: " in capsys.readouterr().err
+
+
+def test_every_output_file_belongs_to_a_stage(tmp_path):
+    config = load_config(write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE))
+    run_pipeline(config)
+    names = {p.name for p in config.output_dir.iterdir()} - {SELECTED_CONCEPTS}
+    assert {name: stage_of(name) for name in names if stage_of(name) not in STAGES} == {}
