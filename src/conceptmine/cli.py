@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, PipelineConfig, load_config
+from .config import OVERRIDES, ConfigError, PipelineConfig, load_config
 from .evaluate import read_pr_csv
 from .lexicon import load_lexicon
 from .pipeline import STAGES, PipelineError, lexicon_summary, run_pipeline, stage_of
@@ -66,11 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, object]:
-    keys = (
-        "output", "seed", "threads", "encoded_dim", "epochs",
-        "learning_rate", "normalized",
-    )
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    return {k: getattr(args, k, None) for k in ("output", *OVERRIDES)}
 
 
 def cmd_lexicon(args: argparse.Namespace, config: PipelineConfig) -> int:

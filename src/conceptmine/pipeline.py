@@ -6,11 +6,12 @@ pure computation plus the writers of those files) and ``read`` (the
 cached load; ``eval`` has none). :func:`run_pipeline` walks the table
 once. A stage is read from its files only when ``upto`` names a later
 stage and all of its files exist; otherwise it is computed. A cached
-mention list or matrix that does not fit the corpus is an error; config
-changes are not detected. Any exception inside a stage becomes a
-:class:`PipelineError` naming it. All outputs are canonically ordered;
-reruns with the same config and seed are byte-identical regardless of
-thread count.
+mention list or matrix that does not fit the corpus, or a cached model
+whose dimensions or activation differ from the config's, is an error;
+other config changes are not detected. Any exception inside a stage
+becomes a :class:`PipelineError` naming it. All outputs are canonically
+ordered; reruns with the same config and seed are byte-identical
+regardless of thread count.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .ingest import Corpus, load_corpus
 from .lexicon import (
     ConceptId,
     Lexicon,
+    LexiconError,
     Vocabulary,
     build_vocabulary,
     expand_descendants,
@@ -113,7 +115,12 @@ def select_concepts(
     lexicon: Lexicon, expand_groups: tuple[str, ...]
 ) -> set[ConceptId]:
     """Matching vocabulary selection: every leaf concept, plus the full
-    descendant closure of the concepts in the expansion groups."""
+    descendant closure of the concepts in the expansion groups. A group
+    that no concept carries is an error."""
+    groups = {c.group for c in lexicon.concepts}
+    for group in expand_groups:
+        if group not in groups:
+            raise LexiconError(f"expand group {group!r} names no concept of the lexicon")
     roots = {c.id for c in lexicon.concepts if c.group in expand_groups}
     return extract_leaf_concepts(lexicon) | expand_descendants(lexicon, roots)
 
@@ -165,14 +172,13 @@ def _read_matrix(
         )
 
 
-def _autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
+def _ae_config(run: _Run) -> ae.AEConfig:
     config = run.config
     m = run.C.m_concepts
     if m < 2:
         raise ValueError(f"need at least 2 observed concepts to train, got {m}")
-    # encoded_dim 0 is not "auto": it reaches AEConfig and fails there.
     encoded_dim = config.ae.encoded_dim
-    ae_config = ae.AEConfig(
+    return ae.AEConfig(
         input_dim=m,
         encoded_dim=max(1, m // 4) if encoded_dim is None else encoded_dim,
         learning_rate=config.ae.learning_rate,
@@ -181,6 +187,11 @@ def _autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
         seed=config.seed,
         activation=config.ae.activation,
     )
+
+
+def _autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
+    config = run.config
+    ae_config = _ae_config(run)
     data = concept_embeddings(run.C, normalized=config.normalized)
     run.model, report = ae.train(ae.init_model(ae_config), data, ae_config)
     ae.save_model(run.model, model_path, seed=config.seed)
@@ -194,6 +205,14 @@ def _autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
 
 def _read_autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
     run.model = ae.load_model(model_path)
+    model, want = run.model, _ae_config(run)
+    cached = (model.input_dim, model.encoded_dim, model.activation)
+    wanted = (want.input_dim, want.encoded_dim, want.activation)
+    if cached != wanted:
+        raise ValueError(
+            f"cached {model_path.name} has (input_dim, encoded_dim, activation) "
+            f"{cached}, the config asks for {wanted}; rerun without --stage"
+        )
 
 
 def _score(

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from conceptmine.cli import main
-from conceptmine.config import ConfigError, load_config
+from conceptmine.cli import build_parser, main
+from conceptmine.config import _OPTIONS, OVERRIDES, ConfigError, load_config
 from conceptmine.evaluate import write_gold
 from conceptmine.ingest import save_corpus
 from conceptmine.lexicon import load_lexicon
@@ -106,26 +106,77 @@ class TestLoadConfig:
         assert "0.1234562" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "option, line",
+        "old, new, flags, named",
         [
-            ("encoded_dim", "encoded_dim = abc"),
-            ("activation", "encoded_dim = auto\nactivation = relu"),
+            pytest.param("encoded_dim = auto", "encoded_dim = abc", [],
+                         "autoencoder.encoded_dim", id="encoded_dim-abc"),
+            pytest.param("encoded_dim = auto", "encoded_dim = auto\nactivation = relu",
+                         [], "autoencoder.activation", id="activation-relu"),
+            pytest.param("epochs = 150", "epoch = 5", [],
+                         "autoencoder.epoch: unknown option", id="unknown-option"),
+            pytest.param("[run]", "[selflabels]\nthresholds = 0.5\n[run]", [],
+                         "[selflabels]: unknown section", id="unknown-section"),
+            pytest.param("[paths]", "[DEFAULT]\nepochs = 3\n[paths]", [],
+                         "DEFAULT.epochs", id="default-section"),
+            pytest.param("batch_size = 16", "batch_size = 0", [],
+                         "autoencoder.batch_size", id="batch_size"),
+            pytest.param("epochs = 150", "epochs = 0", [],
+                         "autoencoder.epochs", id="epochs"),
+            pytest.param("seed = 7", "seed = 7\nthreads = 0", [],
+                         "run.threads", id="threads"),
+            pytest.param("seed = 7", "seed = -1", [], "run.seed", id="seed"),
+            pytest.param("[run]", "[ner]\nnegation_window = -1\n[run]", [],
+                         "ner.negation_window", id="negation_window"),
+            pytest.param("encoded_dim = auto", "encoded_dim = 0", [],
+                         "autoencoder.encoded_dim", id="encoded_dim"),
+            pytest.param("learning_rate = 0.1", "learning_rate = -0.1", [],
+                         "autoencoder.learning_rate", id="learning_rate-negative"),
+            pytest.param("learning_rate = 0.1", "learning_rate = nan", [],
+                         "autoencoder.learning_rate", id="learning_rate-nan"),
+            pytest.param("learning_rate = 0.1", "learning_rate = inf", [],
+                         "autoencoder.learning_rate", id="learning_rate-inf"),
+            pytest.param("", "", ["--epochs", "0"], "autoencoder.epochs", id="--epochs"),
+            pytest.param("", "", ["--seed", "-1"], "run.seed", id="--seed"),
+            pytest.param("", "", ["--threads", "0"], "run.threads", id="--threads"),
+            pytest.param("", "", ["--encoded-dim", "0"], "autoencoder.encoded_dim",
+                         id="--encoded-dim"),
+            pytest.param("", "", ["--learning-rate", "inf"], "autoencoder.learning_rate",
+                         id="--learning-rate"),
         ],
-        ids=["encoded_dim", "activation"],
     )
-    def test_bad_autoencoder_value_exits_2(self, small_setup, capsys, option, line):
-        path = small_setup / f"bad_{option}.ini"
+    def test_rejected_value_exits_2(self, small_setup, capsys, old, new, flags, named):
+        path = small_setup / "rejected.ini"
         path.write_text(
-            (small_setup / "config.ini")
-            .read_text(encoding="utf-8")
-            .replace("encoded_dim = auto", line),
+            (small_setup / "config.ini").read_text(encoding="utf-8").replace(old, new),
             encoding="utf-8",
         )
-        with pytest.raises(ConfigError, match=f"autoencoder.{option}"):
-            load_config(path)
-        assert main(["run", "--config", str(path)]) == 2
-        assert f"config error: {path}: autoencoder.{option}" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), *flags]) == 2
+        assert f"config error: {path}: {named}" in capsys.readouterr().err
 
+    def test_values_are_literal(self, small_setup):
+        path = small_setup / "percent.ini"
+        path.write_text(
+            (small_setup / "config.ini").read_text(encoding="utf-8")
+            + "[ner]\nstop_surfaces = 100% done, 50%%\n",
+            encoding="utf-8",
+        )
+        assert load_config(path).rules.stop_surfaces == {"100% done", "50%%"}
+
+    def test_every_override_is_a_run_flag(self):
+        args = build_parser().parse_args(["run", "--config", "c.ini"])
+        assert set(OVERRIDES) <= set(vars(args))
+        assert set(OVERRIDES.values()) <= set(_OPTIONS)
+
+    def test_readme_names_every_option(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        bullets = {
+            bullet.split("`", 2)[1]: bullet for bullet in section.split("\n- ")[1:]
+        }
+        missing = [
+            f"[{s}] {o}" for s, o in _OPTIONS if f"`{o}`" not in bullets.get(f"[{s}]", "")
+        ]
+        assert missing == []
 
 class TestCommands:
     def test_lexicon_summary(self, small_setup, capsys):
@@ -201,6 +252,19 @@ class TestCommands:
         assert "raw embeddings: pr_auc" in out
         assert "encoded embeddings: pr_auc" in out
         assert "per-concept metrics" in out
+
+    def test_override_is_checked_on_a_cached_rerun(self, small_setup, capsys):
+        out_dir = small_setup / "full"
+        if not (out_dir / "metrics.json").is_file():
+            main(["run", "--config", str(small_setup / "config.ini"),
+                  "--output", str(out_dir)])
+        capsys.readouterr()
+        code = main(
+            ["run", "--config", str(small_setup / "config.ini"),
+             "--output", str(out_dir), "--stage", "eval", "--epochs", "0"]
+        )
+        assert code == 2
+        assert "autoencoder.epochs" in capsys.readouterr().err
 
     def test_report_without_artifacts_exits_1(self, small_setup, capsys):
         code = main(

@@ -198,3 +198,26 @@ def test_every_output_file_belongs_to_a_stage(tmp_path):
     run_pipeline(config)
     names = {p.name for p in config.output_dir.iterdir()} - {SELECTED_CONCEPTS}
     assert {name: stage_of(name) for name in names if stage_of(name) not in STAGES} == {}
+
+
+def test_cached_model_must_fit_the_config(tmp_path, capsys):
+    config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
+    run_pipeline(load_config(config_path))
+    other = load_config(config_path, {"encoded_dim": 1})
+    with pytest.raises(PipelineError, match=r"stage autoencoder: cached autoencoder.json"):
+        run_pipeline(other, upto="eval")
+    argv = ["run", "--config", str(config_path), "--stage", "eval"]
+    assert main([*argv, "--encoded-dim", "1"]) == 1
+    assert "rerun without --stage" in capsys.readouterr().err
+    assert main(argv) == 0
+
+
+def test_unknown_expand_group_fails(tmp_path, capsys):
+    config_path = write_inputs(
+        tmp_path, TINY_CORPUS, [], "[lexicon]\nexpand_groups = mental_disorders\n"
+    )
+    message = "stage run: expand group 'mental_disorders' names no concept"
+    with pytest.raises(PipelineError, match=message):
+        run_pipeline(load_config(config_path))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert message in capsys.readouterr().err
