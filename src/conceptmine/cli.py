@@ -45,17 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=STAGES,
         help="run up to this stage, reusing cached artifacts before it",
     )
-    p_run.add_argument("--seed", type=int, help="override the run seed")
-    p_run.add_argument("--threads", type=int, help="document-parallel workers")
-    p_run.add_argument("--encoded-dim", type=int, dest="encoded_dim")
-    p_run.add_argument("--epochs", type=int)
-    p_run.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p_run.add_argument(
-        "--normalized",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="L2-normalize co-occurrence rows before embedding",
-    )
+    # Values stay text here; load_config parses each like the file value.
+    for dest, (section, option) in OVERRIDES.items():
+        flag = "--" + dest.replace("_", "-")
+        action = argparse.BooleanOptionalAction if dest == "normalized" else "store"
+        p_run.add_argument(flag, action=action, help=f"override [{section}] {option}")
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser(

@@ -22,7 +22,6 @@ gives tp and fp at every threshold.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import Corpus
+from .ingest import Corpus, read_records, write_records
 from .lexicon import ConceptId, Lexicon
 from .ner import Mention
 from .selflabel import ScoredMention, ThresholdSweep
@@ -101,29 +100,21 @@ class PRPoint:
 
 
 def load_gold(path: str | Path, corpus: Corpus | None = None) -> list[GoldAnnotation]:
-    """Read gold JSONL; with a corpus, spans are bounds-checked."""
+    """Read gold JSONL; with a corpus, spans are bounds-checked. A bad
+    line raises :class:`GoldError` naming the file and the line."""
     gold: list[GoldAnnotation] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GoldError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            try:
-                annotation = GoldAnnotation(
-                    doc_id=record["doc_id"],
-                    start=int(record["start"]),
-                    end=int(record["end"]),
-                    concept_id=record.get("concept_id"),
-                    label=record["label"],
-                )
-            except (KeyError, TypeError) as exc:
-                raise GoldError(f"line {line_no}: missing field ({exc})") from exc
-            except GoldError as exc:
-                raise GoldError(f"line {line_no}: {exc}") from exc
-            gold.append(annotation)
+    for line_no, record in read_records(path, GoldError, ("doc_id", "start", "end", "label")):
+        try:
+            annotation = GoldAnnotation(
+                doc_id=record["doc_id"],
+                start=int(record["start"]),
+                end=int(record["end"]),
+                concept_id=record.get("concept_id"),
+                label=record["label"],
+            )
+        except (TypeError, ValueError) as exc:
+            raise GoldError(f"{path}: line {line_no}: {exc}") from exc
+        gold.append(annotation)
     if corpus is not None:
         validate_gold_bounds(gold, corpus)
     return gold
@@ -290,18 +281,11 @@ def pr_auc(points: Sequence[PRPoint]) -> float:
 
 
 def write_gold(gold: Sequence[GoldAnnotation], path: str | Path) -> None:
+    """One record per annotation, in field order; ``concept_id`` only if set."""
     ordered = sorted(gold, key=lambda g: (g.doc_id, g.start, g.end, g.label))
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for g in ordered:
-            record: dict[str, object] = {
-                "doc_id": g.doc_id,
-                "start": g.start,
-                "end": g.end,
-            }
-            if g.concept_id is not None:
-                record["concept_id"] = g.concept_id
-            record["label"] = g.label
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_records(
+        ({k: v for k, v in g.__dict__.items() if v is not None} for g in ordered), path
+    )
 
 
 def write_pr_csv(points: Sequence[PRPoint], path: str | Path) -> None:

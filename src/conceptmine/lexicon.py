@@ -88,11 +88,17 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """Parse a lexicon CSV into a validated :class:`Lexicon`.
 
     Duplicate (concept, term) rows collapse silently. Raises
-    :class:`LexiconError` for malformed rows (with the 1-based line
-    number), duplicate preferred names for one concept, references to
+    :class:`LexiconError` naming the file for malformed rows (with the
+    1-based line number), duplicate preferred names for one concept,
     absent parent ids, or cycles in the hierarchy.
     """
-    path = Path(path)
+    try:
+        return _read_lexicon(Path(path))
+    except LexiconError as exc:
+        raise LexiconError(f"{path}: {exc}") from exc
+
+
+def _read_lexicon(path: Path) -> Lexicon:
     preferred: dict[ConceptId, str] = {}
     synonyms: dict[ConceptId, list[str]] = {}
     parents: dict[ConceptId, list[ConceptId]] = {}

@@ -15,15 +15,15 @@ deleting them.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .ingest import Corpus, Document
+from .ingest import Corpus, Document, read_records, write_records
 from .lexicon import ConceptId, Vocabulary
 from .tokenize import fold_term_tokens, token_columns
 
@@ -236,37 +236,22 @@ def find_corpus_mentions(
 
 def mention_record(m: Mention) -> dict[str, object]:
     """The JSON record of one mention, as ``mentions.jsonl`` and the
-    scored mention files hold it."""
-    return {
-        "doc_id": m.doc_id,
-        "concept_id": m.concept_id,
-        "start": m.start,
-        "end": m.end,
-        "surface": m.surface,
-        "filtered": m.filtered,
-        "filter_reason": m.filter_reason,
-    }
+    scored mention files hold it: ``Mention``'s fields, in field order."""
+    return m.__dict__.copy()
+
+
+MENTION_KEYS = tuple(f.name for f in fields(Mention))
+_mention_values = itemgetter(*MENTION_KEYS)
 
 
 def mention_from_record(record: dict[str, object]) -> Mention:
     """Inverse of :func:`mention_record`; other keys are ignored."""
-    return Mention(
-        doc_id=record["doc_id"],
-        concept_id=record["concept_id"],
-        start=record["start"],
-        end=record["end"],
-        surface=record["surface"],
-        filtered=record["filtered"],
-        filter_reason=record["filter_reason"],
-    )
+    return Mention(*_mention_values(record))
 
 
 def write_mentions(mentions: Iterable[Mention], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for m in sorted(mentions, key=Mention.sort_key):
-            handle.write(json.dumps(mention_record(m), ensure_ascii=False) + "\n")
+    write_records(map(mention_record, sorted(mentions, key=Mention.sort_key)), path)
 
 
 def read_mentions(path: str | Path) -> list[Mention]:
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return [mention_from_record(json.loads(line)) for line in handle if line.strip()]
+    return [mention_from_record(r) for _, r in read_records(path, required=MENTION_KEYS)]

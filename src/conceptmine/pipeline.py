@@ -5,13 +5,14 @@ stage, the files it writes under the output directory, ``compute`` (a
 pure computation plus the writers of those files) and ``read`` (the
 cached load; ``eval`` has none). :func:`run_pipeline` walks the table
 once. A stage is read from its files only when ``upto`` names a later
-stage and all of its files exist; otherwise it is computed. A cached
-mention list or matrix that does not fit the corpus, or a cached model
-whose dimensions or activation differ from the config's, is an error;
-other config changes are not detected. Any exception inside a stage
-becomes a :class:`PipelineError` naming it. All outputs are canonically
-ordered; reruns with the same config and seed are byte-identical
-regardless of thread count.
+stage, all of its files exist and every stage before it was read too;
+otherwise it is computed. A cached mention list or matrix that does not
+fit the corpus, a cached model whose dimensions or activation differ
+from the config's, or a cached score file that does not hold exactly the
+cached mentions is an error; other config changes are not detected. Any
+exception inside a stage becomes a :class:`PipelineError` naming it. All
+outputs are canonically ordered; reruns with the same config and seed
+are byte-identical regardless of thread count.
 """
 
 from __future__ import annotations
@@ -237,7 +238,13 @@ def _score(
 
 
 def _read_score(run: _Run, raw: Path, encoded: Path, *labels: Path) -> None:
-    run.scored = {"raw": read_scored(raw), "encoded": read_scored(encoded)}
+    for space, path in (("raw", raw), ("encoded", encoded)):
+        run.scored[space] = read_scored(path)
+        if [s.mention for s in run.scored[space]] != run.mentions:
+            raise ValueError(
+                f"cached {path.name} does not hold the mentions of mentions.jsonl; "
+                "rerun without --stage"
+            )
 
 
 def _eval(
@@ -327,7 +334,8 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
 
     With ``upto=None`` every stage is computed fresh. With a stage name,
     stages before it reuse their cached artifacts when all are present
-    and the named stage itself is recomputed; the run stops after it.
+    and no earlier stage was recomputed; the named stage itself is
+    recomputed and the run stops after it.
     """
     if upto is not None and upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}, expected one of {STAGES}")
@@ -341,13 +349,13 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
         write_id_file(sorted(selected), root / SELECTED_CONCEPTS)
 
     run = _Run(config, lexicon, corpus, vocab)
+    reuse = upto is not None
     for stage in _TABLE[: STAGES.index(upto or STAGES[-1]) + 1]:
         paths = [root / name for name in stage.files]
+        # Once a stage is computed, every later stage is computed too.
+        reuse = reuse and stage.name != upto and all(p.exists() for p in paths)
         with _failing_as(stage.name):
-            if upto not in (None, stage.name) and all(p.exists() for p in paths):
-                stage.read(run, *paths)
-            else:
-                stage.compute(run, *paths)
+            (stage.read if reuse else stage.compute)(run, *paths)
 
     return RunResult(
         n_docs=len(corpus),

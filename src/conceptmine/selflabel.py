@@ -22,7 +22,6 @@ every threshold file streams one of the two lines per row.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from operator import getitem
 from pathlib import Path
@@ -31,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .ingest import read_records, write_records
 from .matrix import DocConceptMatrix
-from .ner import Mention, mention_from_record, mention_record
+from .ner import MENTION_KEYS, Mention, mention_from_record, mention_record
 
 # Mentions scored per block; bounds the (block, dim) context buffers.
 SCORE_BLOCK = 1024
@@ -174,21 +174,20 @@ def label_at_threshold(
 
 
 def write_scored(scored: Sequence[ScoredMention], path: str | Path) -> None:
-    ordered = sorted(scored, key=lambda s: s.mention.sort_key())
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for s in ordered:
-            record = mention_record(s.mention)
-            record["score"] = s.score
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_records(
+        map(_scored_record, sorted(scored, key=lambda s: s.mention.sort_key())), path
+    )
+
+
+def _scored_record(s: ScoredMention) -> dict[str, object]:
+    record = mention_record(s.mention)
+    record["score"] = s.score
+    return record
 
 
 def read_scored(path: str | Path) -> list[ScoredMention]:
-    with Path(path).open("r", encoding="utf-8") as handle:
-        records = (json.loads(line) for line in handle if line.strip())
-        return [
-            ScoredMention(mention=mention_from_record(r), score=r["score"])
-            for r in records
-        ]
+    records = read_records(path, required=(*MENTION_KEYS, "score"))
+    return [ScoredMention(mention_from_record(r), r["score"]) for _, r in records]
 
 
 def write_labels_csv(

@@ -136,6 +136,8 @@ class TestLoadConfig:
             pytest.param("learning_rate = 0.1", "learning_rate = inf", [],
                          "autoencoder.learning_rate", id="learning_rate-inf"),
             pytest.param("", "", ["--epochs", "0"], "autoencoder.epochs", id="--epochs"),
+            pytest.param("", "", ["--epochs", "abc"], "autoencoder.epochs",
+                         id="--epochs-abc"),
             pytest.param("", "", ["--seed", "-1"], "run.seed", id="--seed"),
             pytest.param("", "", ["--threads", "0"], "run.threads", id="--threads"),
             pytest.param("", "", ["--encoded-dim", "0"], "autoencoder.encoded_dim",
@@ -235,6 +237,23 @@ class TestCommands:
         )
         assert code == 0
         assert (out_dir / "cooc_matrix.txt").is_file()
+
+    def test_override_takes_every_value_the_file_takes(self, small_setup, capsys):
+        path = small_setup / "fixed_dim.ini"
+        path.write_text(
+            (small_setup / "config.ini").read_text(encoding="utf-8").replace(
+                "encoded_dim = auto", "encoded_dim = 1"
+            ),
+            encoding="utf-8",
+        )
+        argv = ["run", "--config", str(path), "--output", str(small_setup / "auto"),
+                "--stage", "autoencoder"]
+        assert main([*argv, "--encoded-dim", "auto"]) == 0
+        out = capsys.readouterr().out
+        m = int(out.split("observed concepts")[1].split()[0])
+        assert f"encoded dim        {m // 4}\n" in out
+        assert main([*argv, "--no-normalized"]) == 0
+        assert "encoded dim        1\n" in capsys.readouterr().out
 
     def test_report_after_run(self, small_setup, capsys):
         out_dir = small_setup / "full"

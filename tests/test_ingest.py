@@ -1,8 +1,12 @@
 import json
+import re
 
 import pytest
 
+from conceptmine.evaluate import GoldError, load_gold
 from conceptmine.ingest import Corpus, CorpusError, Document, load_corpus, save_corpus
+from conceptmine.ner import Mention, mention_record, read_mentions
+from conceptmine.selflabel import read_scored
 
 
 def write_jsonl(path, records):
@@ -89,3 +93,46 @@ def test_index_of_unknown_doc(tmp_path):
     corpus = Corpus(docs=(Document(doc_id="a", text=""),))
     with pytest.raises(CorpusError, match="unknown doc"):
         corpus.index_of("zzz")
+
+
+MENTION = mention_record(Mention("a", "C1", 0, 1, "x"))
+
+# reader, error class, one good record, a key the reader requires
+JSONL_FORMATS = {
+    "corpus": (load_corpus, CorpusError, {"id": "a", "text": "x"}, "text"),
+    "gold": (
+        load_gold, GoldError,
+        {"doc_id": "a", "start": 0, "end": 1, "label": "NLP_TRUE"}, "label",
+    ),
+    "mentions": (read_mentions, ValueError, MENTION, "surface"),
+    "scored": (read_scored, ValueError, {**MENTION, "score": 0.5}, "score"),
+}
+
+
+@pytest.mark.parametrize("defect, reason", [
+    ("cut", "invalid JSON"),
+    ("list", "expected a JSON object"),
+    ("missing", "missing"),
+])
+@pytest.mark.parametrize("fmt", sorted(JSONL_FORMATS))
+def test_bad_line_names_file_and_line(tmp_path, fmt, defect, reason):
+    reader, error, good, key = JSONL_FORMATS[fmt]
+    bad = {
+        "cut": json.dumps(good)[:-5],
+        "list": json.dumps([good]),
+        "missing": json.dumps({k: v for k, v in good.items() if k != key}),
+    }[defect]
+    path = tmp_path / f"{fmt}.jsonl"
+    # Blank lines still count: the bad record is on line 4.
+    path.write_text(f"{json.dumps(good)}\n\n  \n{bad}\n", encoding="utf-8")
+    with pytest.raises(error, match=re.escape(f"{path}: line 4: {reason}")):
+        reader(path)
+    if defect == "missing" and fmt != "corpus":
+        with pytest.raises(error, match=f"missing field '{key}'"):
+            reader(path)
+
+
+def test_writers_keep_non_ascii_text(tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_corpus(Corpus(docs=(Document(doc_id="a", text="naïve café"),)), path)
+    assert path.read_text(encoding="utf-8") == '{"id": "a", "text": "naïve café"}\n'

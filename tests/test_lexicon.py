@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,11 @@ class TestLoadLexicon:
             encoding="utf-8",
         )
         with pytest.raises(LexiconError, match="line 4"):
+            load_lexicon(path)
+
+    def test_errors_name_the_file(self, tmp_path):
+        path = write_lexicon_csv(tmp_path / "lex.csv", ["C1,term,maybe,,g"])
+        with pytest.raises(LexiconError, match=re.escape(f"{path}: line 2: invalid")):
             load_lexicon(path)
 
     def test_duplicate_rows_collapse(self, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,11 @@ from conceptmine.ingest import Document
 from conceptmine.lexicon import build_vocabulary, load_lexicon
 from conceptmine.ner import (
     FilterRules,
+    Mention,
     apply_filter_rules,
     find_mentions,
+    mention_from_record,
+    mention_record,
     read_mentions,
     write_mentions,
 )
@@ -344,3 +349,12 @@ def test_mentions_jsonl_round_trip(tmp_path, nested_vocab):
     path = tmp_path / "mentions.jsonl"
     write_mentions(mentions, path)
     assert read_mentions(path) == sorted(mentions, key=lambda m: m.sort_key())
+
+
+def test_mention_record_keys_are_the_mention_fields():
+    names = [f.name for f in fields(Mention)]
+    plain = Mention("d", "C1", 0, 4, "self")
+    flagged = replace(plain, filtered=True, filter_reason="stoplist")
+    for m in (plain, flagged):
+        assert list(mention_record(m)) == names
+        assert mention_from_record({**mention_record(m), "score": 0.5}) == m

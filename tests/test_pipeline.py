@@ -221,3 +221,52 @@ def test_unknown_expand_group_fails(tmp_path, capsys):
         run_pipeline(load_config(config_path))
     assert main(["run", "--config", str(config_path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_cached_scores_must_hold_the_cached_mentions(tmp_path, capsys):
+    config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
+    config = load_config(config_path)
+    run_pipeline(config)
+    scored_path = config.output_dir / "scored_raw.jsonl"
+    lines = scored_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # Cut at a line boundary: every line parses, one mention is missing.
+    scored_path.write_text("".join(lines[:-1]), encoding="utf-8")
+    message = (
+        "stage score: cached scored_raw.jsonl does not hold the mentions of "
+        "mentions.jsonl; rerun without --stage"
+    )
+    with pytest.raises(PipelineError, match=message):
+        run_pipeline(config, upto="eval")
+    assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 1
+    assert message in capsys.readouterr().err
+
+    # Cut partway through the last line: the reader names the file and line.
+    scored_path.write_text("".join(lines)[:-20], encoding="utf-8")
+    with pytest.raises(
+        PipelineError, match=f"stage score: .*scored_raw.jsonl: line {len(lines)}: invalid JSON"
+    ):
+        run_pipeline(config, upto="eval")
+
+
+NEGATED_CORPUS = [
+    {"id": "a", "text": "no child abuse, but child neglect at home."},
+    {"id": "b", "text": "child abuse again, then emotional neglect."},
+    {"id": "c", "text": "bullying and child neglect."},
+]
+
+
+def test_a_recomputed_stage_recomputes_every_later_stage(tmp_path):
+    run_pipeline(load_config(write_inputs(tmp_path, NEGATED_CORPUS, [], TINY_AE)))
+    # A new [ner] setting, and no cached mentions: NER is recomputed, so
+    # the cached matrix, model and scores must not be reused.
+    other = write_inputs(
+        tmp_path, NEGATED_CORPUS, [], TINY_AE + "[ner]\nnegation_window = 0\n"
+    )
+    (tmp_path / "out" / "mentions.jsonl").unlink()
+    rerun = run_pipeline(load_config(other), upto="eval")
+    fresh = run_pipeline(load_config(other, {"output": str(tmp_path / "fresh")}))
+    assert rerun == fresh
+    assert rerun.n_unfiltered == rerun.n_mentions
+    for path in sorted((tmp_path / "fresh").rglob("*.*")):
+        cached = tmp_path / "out" / path.relative_to(tmp_path / "fresh")
+        assert cached.read_bytes() == path.read_bytes(), path.name
