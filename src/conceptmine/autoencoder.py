@@ -192,36 +192,28 @@ def train(
     X = _as_batch(data, model.input_dim)
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
-    W_enc = model.W_enc.copy()
-    b_enc = model.b_enc.copy()
-    W_dec = model.W_dec.copy()
-    b_dec = model.b_dec.copy()
+    # One model whose parameter arrays every step updates in place.
+    trained = AEModel(
+        W_enc=model.W_enc.copy(), b_enc=model.b_enc.copy(),
+        W_dec=model.W_dec.copy(), b_dec=model.b_dec.copy(),
+        activation=model.activation,
+    )
+    params = (trained.W_enc, trained.b_enc, trained.W_dec, trained.b_dec)
     lr = config.learning_rate
     losses: list[float] = []
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_sse = 0.0
-        current = AEModel(
-            W_enc=W_enc, b_enc=b_enc, W_dec=W_dec, b_dec=b_dec,
-            activation=model.activation,
-        )
         for lo in range(0, n, config.batch_size):
             rows = order[lo : lo + config.batch_size]
-            loss, grads = loss_and_gradients(current, X[rows])
+            loss, grads = loss_and_gradients(trained, X[rows])
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
             epoch_sse += loss * len(rows)
-            W_enc -= lr * grads.W_enc
-            b_enc -= lr * grads.b_enc
-            W_dec -= lr * grads.W_dec
-            b_dec -= lr * grads.b_dec
+            for param, grad in zip(params, (grads.W_enc, grads.b_enc, grads.W_dec, grads.b_dec)):
+                param -= lr * grad
         losses.append(epoch_sse / n)
-
-    trained = AEModel(
-        W_enc=W_enc, b_enc=b_enc, W_dec=W_dec, b_dec=b_dec,
-        activation=model.activation,
-    )
     return trained, TrainReport(
         loss_per_epoch=tuple(losses), final_loss=losses[-1], seed=config.seed
     )

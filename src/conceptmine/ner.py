@@ -4,24 +4,25 @@ Matching is case-insensitive and token-boundary aligned. A vocabulary term
 matches a run of consecutive document tokens whose case-folded texts equal
 the term's token sequence, so multi-word terms span whatever whitespace or
 punctuation separates the tokens. Each document is tokenized once; at
-every token that starts some term, the matcher looks the following
-n-grams up in the vocabulary's term dict, up to the length of the longest
-term with that first token (the FlashText idea, Singh 2017, over
-case-folded tokens). Overlaps resolve longest-span-first, then
-earliest-start-first. Filter rules flag mentions (negation cue within a
-token window in the same sentence, or a stop-listed surface) without
-deleting them.
+every token that starts some key, one lookup loop looks the following
+n-grams up in a dict of case-folded token tuples, up to the length of the
+longest key with that first token (the FlashText idea, Singh 2017). The
+same loop finds vocabulary terms and negation cues. Term overlaps
+resolve longest-span-first, then earliest-start-first. Filter rules flag
+mentions (negation cue within a token window in the same sentence, or a
+stop-listed surface; NegEx, Chapman et al. 2001) without deleting them.
+Documents are processed one after another on one thread.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import compress, count
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .ingest import Corpus, Document, read_records, write_records
 from .lexicon import ConceptId, Vocabulary
@@ -52,11 +53,26 @@ class FilterRules:
     wholly within the ``negation_window`` tokens before the mention,
     bounded by the enclosing sentence (sentences split on ``. ! ?`` and
     newlines). ``stop_surfaces`` are case-folded whole surfaces.
+
+    Cues are compiled once, like a vocabulary's terms: ``_cues`` maps
+    folded tokens to ``(config order, cue)``, the first of cues that fold
+    alike, and ``_cue_longest`` each first token to its longest cue.
     """
 
     negation_cues: tuple[str, ...] = ()
     negation_window: int = 3
     stop_surfaces: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        cues: dict[tuple[str, ...], tuple[int, str]] = {}
+        for order, cue in enumerate(self.negation_cues):
+            tokens = fold_term_tokens(cue)
+            if tokens:
+                cues.setdefault(tokens, (order, cue))
+        # Shortest first, so each first token keeps its longest cue's length.
+        longest = {tokens[0]: len(tokens) for tokens in sorted(cues, key=len)}
+        object.__setattr__(self, "_cues", cues)
+        object.__setattr__(self, "_cue_longest", longest)
 
     def is_empty(self) -> bool:
         return not self.negation_cues and not self.stop_surfaces
@@ -84,32 +100,32 @@ def _match(
 ) -> list[Mention]:
     if not len(vocab):
         raise ValueError("vocabulary is empty")
-    terms = vocab.terms
-    longest = vocab.longest
-    n_tokens = len(folded)
-    candidates = []
-    for i, first in enumerate(folded):
-        limit = longest.get(first)
-        if limit is None:
-            continue
-        for stop in range(i + 1, min(i + limit, n_tokens) + 1):
-            concepts = terms.get(tuple(folded[i:stop]))
-            if concepts is not None:
-                candidates.append((starts[i], ends[stop - 1], concepts))
-    mentions: list[Mention] = []
-    for start, end, concepts in _resolve_overlaps(candidates):
-        for cid in concepts:
-            mentions.append(
-                Mention(
-                    doc_id=doc.doc_id,
-                    concept_id=cid,
-                    start=start,
-                    end=end,
-                    surface=doc.text[start:end],
-                )
-            )
+    candidates = [
+        (starts[i], ends[stop - 1], concepts)
+        for i, stop, concepts in _ngram_hits(folded, vocab.terms, vocab.longest)
+    ]
+    mentions = [
+        Mention(doc.doc_id, cid, start, end, doc.text[start:end])
+        for start, end, concepts in _resolve_overlaps(candidates)
+        for cid in concepts
+    ]
     mentions.sort(key=lambda m: (m.start, m.concept_id))
     return mentions
+
+
+def _ngram_hits(
+    folded: list[str], table: dict[tuple[str, ...], Any], longest: dict[str, int]
+) -> Iterator[tuple[int, int, Any]]:
+    """``(i, stop, table[key])`` for every n-gram ``key = folded[i:stop]``
+    that is a key of ``table``, by ascending ``i`` then ``stop``;
+    ``longest`` maps a first token to the longest key length it starts."""
+    n_tokens = len(folded)
+    # Only tokens that start some key get a loop turn; the test runs in C.
+    for i in compress(count(), map(longest.__contains__, folded)):
+        for stop in range(i + 1, min(i + longest[folded[i]], n_tokens) + 1):
+            value = table.get(tuple(folded[i:stop]))
+            if value is not None:
+                yield i, stop, value
 
 
 def _resolve_overlaps(
@@ -148,11 +164,17 @@ def _flag(
 ) -> list[Mention]:
     if rules.is_empty() or not mentions:
         return list(mentions)
-    sentence_starts = _sentence_starts(doc.text)
-    cue_tokens = [
-        (cue, fold_term_tokens(cue)) for cue in rules.negation_cues
-    ]
-    cue_tokens = [(cue, toks) for cue, toks in cue_tokens if toks]
+    # Cue occurrences by (stop, config order): the first one that starts
+    # inside a mention's window ends earliest, then comes first in config.
+    cues, longest = rules._cues, rules._cue_longest  # type: ignore[attr-defined]
+    hits = []
+    if not longest.keys().isdisjoint(folded):  # else no cue can occur
+        hits = sorted(
+            (stop, order, i, cue)
+            for i, stop, (order, cue) in _ngram_hits(folded, cues, longest)
+        )
+    hit_stops = [hit[0] for hit in hits]
+    sentence_starts = _sentence_starts(doc.text) if hits else []
     stop = rules.stop_surfaces
 
     result: list[Mention] = []
@@ -161,51 +183,29 @@ def _flag(
             raise ValueError(
                 f"mention for {mention.doc_id!r} does not belong to {doc.doc_id!r}"
             )
-        reason = _negation_reason(
-            mention, token_starts, folded, sentence_starts,
-            cue_tokens, rules.negation_window,
-        )
+        reason = None
+        if hits:
+            # The window: up to negation_window tokens right before the
+            # mention, none before the start of its sentence.
+            mention_tok = bisect_left(token_starts, mention.start)
+            sentence = sentence_starts[bisect_right(sentence_starts, mention.start) - 1]
+            window_lo = max(
+                bisect_left(token_starts, sentence), mention_tok - rules.negation_window
+            )
+            lo, hi = bisect_right(hit_stops, window_lo), bisect_right(hit_stops, mention_tok)
+            reason = next(
+                (f"negation:{cue}" for _, _, i, cue in hits[lo:hi] if i >= window_lo),
+                None,
+            )
         if reason is None and stop and mention.surface.lower() in stop:
             reason = "stoplist"
-        if reason is not None and not mention.filtered:
-            result.append(replace(mention, filtered=True, filter_reason=reason))
-        else:
-            result.append(mention)
+        flag = reason is not None and not mention.filtered
+        result.append(replace(mention, filtered=True, filter_reason=reason) if flag else mention)
     return result
 
 
 def _sentence_starts(text: str) -> list[int]:
-    starts = [0]
-    for match in _SENTENCE_BREAK_RE.finditer(text):
-        starts.append(match.end())
-    return starts
-
-
-def _negation_reason(
-    mention: Mention,
-    token_starts: list[int],
-    folded: list[str],
-    sentence_starts: list[int],
-    cue_tokens: list[tuple[str, tuple[str, ...]]],
-    window: int,
-) -> str | None:
-    if not cue_tokens or window <= 0:
-        return None
-    # Tokens strictly before the mention's first character.
-    mention_tok = bisect_left(token_starts, mention.start)
-    sentence_start = sentence_starts[
-        bisect_right(sentence_starts, mention.start) - 1
-    ]
-    first_sentence_tok = bisect_left(token_starts, sentence_start)
-    window_lo = max(first_sentence_tok, mention_tok - window)
-    for position in range(window_lo, mention_tok):
-        for cue, toks in cue_tokens:
-            lo = position - len(toks) + 1
-            if lo < window_lo:
-                continue
-            if tuple(folded[lo : position + 1]) == toks:
-                return f"negation:{cue}"
-    return None
+    return [0] + [match.end() for match in _SENTENCE_BREAK_RE.finditer(text)]
 
 
 def find_corpus_mentions(
@@ -214,22 +214,15 @@ def find_corpus_mentions(
     rules: FilterRules | None = None,
     threads: int = 1,
 ) -> list[Mention]:
-    """Match and filter every document; canonical (doc_id, start, concept_id)
-    order makes the result independent of the thread count. Each document
-    is tokenized once, for matching and filtering both."""
+    """Match and filter every document, in canonical (doc_id, start,
+    concept_id) order, tokenizing each once for both. ``threads`` is
+    accepted and changes nothing: NER runs on one thread."""
     rules = rules or FilterRules()
-
-    def process(doc: Document) -> list[Mention]:
+    mentions: list[Mention] = []
+    for doc in corpus.docs:
         starts, ends, folded = token_columns(doc.text)
         found = _match(doc, vocab, starts, ends, folded)
-        return _flag(found, doc, rules, starts, folded)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_doc = list(pool.map(process, corpus.docs))
-    else:
-        per_doc = [process(doc) for doc in corpus.docs]
-    mentions = [m for chunk in per_doc for m in chunk]
+        mentions += _flag(found, doc, rules, starts, folded)
     mentions.sort(key=Mention.sort_key)
     return mentions
 

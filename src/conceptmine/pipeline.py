@@ -8,16 +8,17 @@ once. A stage is read from its files only when ``upto`` names a later
 stage, all of its files exist and every stage before it was read too;
 otherwise it is computed. A cached mention list or matrix that does not
 fit the corpus, a cached model whose dimensions or activation differ
-from the config's, or a cached score file that does not hold exactly the
-cached mentions is an error; other config changes are not detected. Any
-exception inside a stage becomes a :class:`PipelineError` naming it. All
-outputs are canonically ordered; reruns with the same config and seed
-are byte-identical regardless of thread count.
+from the config's, a cached score file that does not hold exactly the
+cached mentions, or label files that are not the sweep's is an error;
+other config changes are not detected. Any exception inside a stage
+becomes a :class:`PipelineError` naming it. All outputs are canonically
+ordered; reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -51,6 +52,7 @@ from .matrix import (
 from .ner import Mention, find_corpus_mentions, read_mentions, write_mentions
 from .selflabel import (
     ScoredMention,
+    label_file_name,
     read_scored,
     score_mentions,
     write_label_files,
@@ -238,6 +240,13 @@ def _score(
 
 
 def _read_score(run: _Run, raw: Path, encoded: Path, *labels: Path) -> None:
+    names = sorted(label_file_name(tau) for tau in run.config.sweep.thresholds)
+    for labels_dir in labels:
+        if sorted(p.name for p in labels_dir.glob("threshold_*.csv")) != names:
+            raise ValueError(
+                f"cached {labels_dir.name} does not hold the label files of the "
+                "configured thresholds; rerun with --stage score"
+            )
     for space, path in (("raw", raw), ("encoded", encoded)):
         run.scored[space] = read_scored(path)
         if [s.mention for s in run.scored[space]] != run.mentions:
@@ -335,7 +344,8 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
     With ``upto=None`` every stage is computed fresh. With a stage name,
     stages before it reuse their cached artifacts when all are present
     and no earlier stage was recomputed; the named stage itself is
-    recomputed and the run stops after it.
+    recomputed, the run stops after it and every later stage's files
+    are removed.
     """
     if upto is not None and upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}, expected one of {STAGES}")
@@ -348,9 +358,16 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
         vocab = build_vocabulary(lexicon, selected)
         write_id_file(sorted(selected), root / SELECTED_CONCEPTS)
 
+    last = STAGES.index(upto or STAGES[-1])
+    # Later stages' artifacts no longer follow from this run's; drop them.
+    for path in (root / name for stage in _TABLE[last + 1 :] for name in stage.files):
+        if path.is_dir():
+            shutil.rmtree(path)
+        path.unlink(missing_ok=True)
+
     run = _Run(config, lexicon, corpus, vocab)
     reuse = upto is not None
-    for stage in _TABLE[: STAGES.index(upto or STAGES[-1]) + 1]:
+    for stage in _TABLE[: last + 1]:
         paths = [root / name for name in stage.files]
         # Once a stage is computed, every later stage is computed too.
         reuse = reuse and stage.name != upto and all(p.exists() for p in paths)

@@ -332,3 +332,5 @@ def test_cli_imports_only_stdlib_and_numpy(tmp_path):
     loaded = set(proc.stdout.split())
     assert {"conceptmine", "numpy"} <= loaded
     assert loaded - set(sys.stdlib_module_names) == {"conceptmine", "numpy"}
+    # Nor concurrent.futures, which costs every start 6-8 ms for nothing.
+    assert "concurrent" not in loaded

@@ -1,14 +1,16 @@
+from bisect import bisect_left, bisect_right
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from conceptmine.ingest import Document
+from conceptmine.ingest import Corpus, Document
 from conceptmine.lexicon import build_vocabulary, load_lexicon
 from conceptmine.ner import (
     FilterRules,
     Mention,
     apply_filter_rules,
+    find_corpus_mentions,
     find_mentions,
     mention_from_record,
     mention_record,
@@ -337,6 +339,109 @@ class TestFilterRules:
                 after.start, after.end, after.concept_id, after.surface
             )
         assert [m.filtered for m in out] == [True, False]
+
+
+def brute_force_negation(mention, text, cues, window):
+    """Independent negation rule: at every token position of the window,
+    in order, try every cue in config order as the run of tokens ending
+    there; the window is the ``window`` tokens before the mention, none
+    before the start of the mention's sentence."""
+    tokens = tokenize(text)
+    token_starts = [t.start for t in tokens]
+    folded = [t.text.lower() for t in tokens]
+    cue_tokens = [(cue, fold_term_tokens(cue)) for cue in cues]
+    cue_tokens = [(cue, toks) for cue, toks in cue_tokens if toks]
+    if not cue_tokens or window <= 0:
+        return None
+    sentence_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch in ".!?\n"]
+    mention_tok = bisect_left(token_starts, mention.start)
+    sentence_start = sentence_starts[bisect_right(sentence_starts, mention.start) - 1]
+    window_lo = max(bisect_left(token_starts, sentence_start), mention_tok - window)
+    for position in range(window_lo, mention_tok):
+        for cue, toks in cue_tokens:
+            lo = position - len(toks) + 1
+            if lo >= window_lo and tuple(folded[lo : position + 1]) == toks:
+                return f"negation:{cue}"
+    return None
+
+
+class TestNegationOracle:
+    """The compiled cue lookup against :func:`brute_force_negation`."""
+
+    TERMS = ["C1,anxiety,true,,g", "C2,panic attack,true,,g", "C3,sign,true,,g"]
+    # Multi-token cues, cues sharing a first token, a cue that is a prefix
+    # of another, and cues that differ only in case.
+    FIXED_CUES = ("no", "no sign of", "NO SIGN of", "not", "not a", "sign of", "No")
+    WORDS = ["anxiety", "panic", "attack", "panic attack", "sign", "of", "no",
+             "No", "not", "a", "never", "x", "NO SIGN OF"]
+    SEPARATORS = [" ", " ", " ", ", ", ". ", "! ", "? ", "\n", "/"]
+
+    def _check(self, vocab, cues, text):
+        doc = Document(doc_id="d", text=text)
+        mentions = find_mentions(doc, vocab)
+        for window in range(5):
+            rules = FilterRules(negation_cues=cues, negation_window=window)
+            got = apply_filter_rules(mentions, doc, rules)
+            want = [brute_force_negation(m, text, cues, window) for m in mentions]
+            assert [m.filter_reason for m in got] == want, (cues, window, text)
+            assert [m.filtered for m in got] == [w is not None for w in want]
+            corpus = find_corpus_mentions(Corpus((doc,)), vocab, rules)
+            assert corpus == got
+
+    def test_random_texts_and_cues(self, tmp_path):
+        lexicon = load_lexicon(write_lexicon_csv(tmp_path / "neg.csv", self.TERMS))
+        vocab = build_vocabulary(lexicon, set(lexicon.concept_ids()))
+        cue_words = ["no", "not", "sign", "of", "a", "never", "No", "NOT"]
+        rng = np.random.default_rng(11)
+        for trial in range(120):
+            cues = self.FIXED_CUES
+            if trial:
+                cues = tuple(
+                    " ".join(rng.choice(cue_words, size=int(rng.integers(1, 4))))
+                    for _ in range(int(rng.integers(1, 7)))
+                )
+            for _ in range(6):
+                pieces = []
+                for _ in range(int(rng.integers(0, 16))):
+                    pieces.append(self.WORDS[int(rng.integers(len(self.WORDS)))])
+                    pieces.append(self.SEPARATORS[int(rng.integers(len(self.SEPARATORS)))])
+                self._check(vocab, cues, "".join(pieces))
+
+    @pytest.mark.parametrize(
+        "text, window, reason",
+        [
+            # The cue that ends first wins, even inside a longer cue.
+            ("no sign of anxiety", 3, "negation:no"),
+            ("NO sign of anxiety", 3, "negation:no"),
+            ("a no sign of anxiety", 4, "negation:no"),
+            # Cues that fold alike report the first one's text.
+            ("no sign of anxiety", 2, "negation:Sign Of"),
+            ("no. sign of anxiety", 4, "negation:Sign Of"),
+            ("no sign! anxiety", 4, None),
+            ("not\nanxiety", 4, None),
+            ("not? a anxiety", 4, None),
+            ("not a anxiety", 2, "negation:not a"),
+            ("not a anxiety", 1, None),
+            ("not anxiety", 0, None),
+        ],
+    )
+    def test_cases_by_inspection(self, tmp_path, text, window, reason):
+        lexicon = load_lexicon(write_lexicon_csv(tmp_path / "neg.csv", self.TERMS[:1]))
+        vocab = build_vocabulary(lexicon, {"C1"})
+        cues = ("NO SIGN of", "no sign of", "Sign Of", "sign of", "not a", "no")
+        doc = Document(doc_id="d", text=text)
+        rules = FilterRules(negation_cues=cues, negation_window=window)
+        [mention] = apply_filter_rules(find_mentions(doc, vocab), doc, rules)
+        assert mention.filter_reason == reason
+        assert brute_force_negation(mention, text, cues, window) == reason
+
+    def test_longer_cue_before_a_shorter_one_with_its_first_token(self, tmp_path):
+        lexicon = load_lexicon(write_lexicon_csv(tmp_path / "neg.csv", self.TERMS[:1]))
+        vocab = build_vocabulary(lexicon, {"C1"})
+        doc = Document(doc_id="d", text="no sign of anxiety")
+        rules = FilterRules(negation_cues=("no sign of", "no way"), negation_window=3)
+        [mention] = apply_filter_rules(find_mentions(doc, vocab), doc, rules)
+        assert mention.filter_reason == "negation:no sign of"
 
 
 def test_mentions_jsonl_round_trip(tmp_path, nested_vocab):

@@ -270,3 +270,45 @@ def test_a_recomputed_stage_recomputes_every_later_stage(tmp_path):
     for path in sorted((tmp_path / "fresh").rglob("*.*")):
         cached = tmp_path / "out" / path.relative_to(tmp_path / "fresh")
         assert cached.read_bytes() == path.read_bytes(), path.name
+
+
+def test_a_stage_run_drops_every_later_stages_artifacts(tmp_path):
+    config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
+    run_pipeline(load_config(config_path))
+    out = tmp_path / "out"
+    later = [p.name for p in out.iterdir() if stage_of(p.name) in ("score", "eval")]
+    assert len(later) == 8
+    # A new seed retrains the model; the scores and PR curves of the old
+    # seed must not survive to be read by the next --stage run.
+    reseeded = load_config(config_path, {"seed": 3})
+    run_pipeline(reseeded, upto="autoencoder")
+    assert [name for name in later if (out / name).exists()] == []
+    rerun = run_pipeline(reseeded, upto="eval")
+    fresh = run_pipeline(load_config(config_path, {"seed": 3, "output": str(tmp_path / "fresh")}))
+    assert rerun == fresh
+    for path in sorted((tmp_path / "fresh").rglob("*.*")):
+        cached = out / path.relative_to(tmp_path / "fresh")
+        assert cached.read_bytes() == path.read_bytes(), path.name
+
+
+def test_cached_label_files_must_be_the_sweeps(tmp_path, capsys):
+    run_pipeline(load_config(write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)))
+    config_path = write_inputs(
+        tmp_path, TINY_CORPUS, [], TINY_AE + "[selflabel]\nthresholds = 0.25, 0.5, 0.75\n"
+    )
+    config = load_config(config_path)
+    message = (
+        "stage score: cached labels_raw does not hold the label files of the "
+        "configured thresholds; rerun with --stage score"
+    )
+    with pytest.raises(PipelineError, match=message):
+        run_pipeline(config, upto="eval")
+    assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 1
+    assert message in capsys.readouterr().err
+
+    run_pipeline(config, upto="score")
+    run_pipeline(config, upto="eval")
+    names = ["threshold_0.25.csv", "threshold_0.5.csv", "threshold_0.75.csv"]
+    for space in ("raw", "encoded"):
+        assert sorted(p.name for p in (tmp_path / "out" / f"labels_{space}").iterdir()) == names
+    assert len((tmp_path / "out" / "pr_raw.csv").read_text(encoding="utf-8").splitlines()) == 4
