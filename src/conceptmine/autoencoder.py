@@ -254,8 +254,13 @@ def load_model(path: str | Path) -> AEModel:
     """Read a :func:`save_model` file; every parameter's shape must agree
     with the header and the activation must be known."""
     record = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     if record.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
+    for key in ("input_dim", "encoded_dim", "activation", "w_enc", "b_enc", "w_dec", "b_dec"):
+        if key not in record:
+            raise ValueError(f"{path}: missing field {key!r}")
     if record["activation"] not in ACTIVATIONS:
         raise ValueError(f"{path}: activation must be one of {ACTIVATIONS}")
     k, m = record["encoded_dim"], record["input_dim"]

@@ -104,7 +104,11 @@ _OPTIONS: dict[tuple[str, str], tuple[str | None, Callable[[str], object]]] = {
     ("paths", "gold"): (None, Path),
     ("paths", "output"): ("out", Path),
     ("lexicon", "expand_groups"): ("mental_disorder, adverse_event", _split_list),
-    ("ner", "negation_cues"): (", ".join(DEFAULT_NEGATION_CUES), _split_list),
+    # Compiling the cues rejects one with no tokens.
+    ("ner", "negation_cues"): (
+        ", ".join(DEFAULT_NEGATION_CUES),
+        lambda raw: FilterRules(_split_list(raw)).negation_cues,
+    ),
     ("ner", "negation_window"): ("3", _int(0)),
     ("ner", "stop_surfaces"): (
         "", lambda raw: frozenset(s.lower() for s in _split_list(raw))

@@ -3,7 +3,8 @@
 Gold files are JSONL records ``{doc_id, start, end, concept_id?, label}``
 with label one of NLP_TRUE (system-found true positive span), Not_ACEs
 (system false positive), Manual_ACEs (annotator-added span the system
-missed). NLP_TRUE and Manual_ACEs are the gold-true spans.
+missed). NLP_TRUE and Manual_ACEs are the gold-true spans. Offsets must
+be JSON integers; :func:`load_gold` checks each record as it reads it.
 
 Matching is exact-span: a predicted-positive span is a true positive iff
 a gold-true annotation has the identical (doc_id, start, end). Predicted
@@ -25,7 +26,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,46 +101,41 @@ class PRPoint:
 
 
 def load_gold(path: str | Path, corpus: Corpus | None = None) -> list[GoldAnnotation]:
-    """Read gold JSONL; with a corpus, spans are bounds-checked. A bad
-    line raises :class:`GoldError` naming the file and the line."""
+    """Read gold JSONL. Offsets must be JSON integers; with a corpus, each
+    span's doc must be in it and the span within the doc's text. A bad
+    line raises :class:`GoldError` as ``<path>: line N: <reason>``."""
+    lengths = None if corpus is None else {d.doc_id: len(d.text) for d in corpus.docs}
     gold: list[GoldAnnotation] = []
     for line_no, record in read_records(path, GoldError, ("doc_id", "start", "end", "label")):
         try:
-            annotation = GoldAnnotation(
+            for key in ("start", "end"):
+                if type(record[key]) is not int:  # a bool is not an offset
+                    raise GoldError(f"{key} must be an integer, got {record[key]!r}")
+            g = GoldAnnotation(
                 doc_id=record["doc_id"],
-                start=int(record["start"]),
-                end=int(record["end"]),
+                start=record["start"],
+                end=record["end"],
                 concept_id=record.get("concept_id"),
                 label=record["label"],
             )
+            if lengths is not None and g.doc_id not in lengths:
+                raise GoldError(f"gold references unknown doc {g.doc_id!r}")
+            if lengths is not None and g.end > lengths[g.doc_id]:
+                raise GoldError(
+                    f"gold span [{g.start}, {g.end}) out of bounds for doc "
+                    f"{g.doc_id!r} of length {lengths[g.doc_id]}"
+                )
         except (TypeError, ValueError) as exc:
             raise GoldError(f"{path}: line {line_no}: {exc}") from exc
-        gold.append(annotation)
-    if corpus is not None:
-        validate_gold_bounds(gold, corpus)
+        gold.append(g)
     return gold
-
-
-def validate_gold_bounds(gold: Iterable[GoldAnnotation], corpus: Corpus) -> None:
-    for g in gold:
-        if g.doc_id not in corpus:
-            raise GoldError(f"gold references unknown doc {g.doc_id!r}")
-        text = corpus.get(g.doc_id).text
-        if g.end > len(text):
-            raise GoldError(
-                f"gold span [{g.start}, {g.end}) out of bounds for doc "
-                f"{g.doc_id!r} of length {len(text)}"
-            )
 
 
 def match_to_gold(
     predicted: Sequence[tuple[Mention, bool]],
     gold: Sequence[GoldAnnotation],
-    corpus: Corpus | None = None,
 ) -> ConfusionCounts:
     """Exact-span confusion counts of predicted positives against gold."""
-    if corpus is not None:
-        validate_gold_bounds(gold, corpus)
     positive_spans = {
         (m.doc_id, m.start, m.end) for m, label in predicted if label
     }

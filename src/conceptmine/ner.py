@@ -56,7 +56,8 @@ class FilterRules:
 
     Cues are compiled once, like a vocabulary's terms: ``_cues`` maps
     folded tokens to ``(config order, cue)``, the first of cues that fold
-    alike, and ``_cue_longest`` each first token to its longest cue.
+    alike, and ``_cue_longest`` each first token to its longest cue. A
+    cue with no tokens raises ValueError, as a term with none does.
     """
 
     negation_cues: tuple[str, ...] = ()
@@ -67,8 +68,9 @@ class FilterRules:
         cues: dict[tuple[str, ...], tuple[int, str]] = {}
         for order, cue in enumerate(self.negation_cues):
             tokens = fold_term_tokens(cue)
-            if tokens:
-                cues.setdefault(tokens, (order, cue))
+            if not tokens:
+                raise ValueError(f"negation cue {cue!r} contains no matchable tokens")
+            cues.setdefault(tokens, (order, cue))
         # Shortest first, so each first token keeps its longest cue's length.
         longest = {tokens[0]: len(tokens) for tokens in sorted(cues, key=len)}
         object.__setattr__(self, "_cues", cues)

@@ -226,14 +226,8 @@ def _score(
         "encoded": ae.encode_all(run.model, run.C, normalized=run.config.normalized),
     }
     outputs = {"raw": (raw, raw_labels), "encoded": (encoded, encoded_labels)}
-    scoreable = [m for m in run.mentions if run.X.has_concept(m.concept_id)]
-    rest = [m for m in run.mentions if not run.X.has_concept(m.concept_id)]
     for space, (scored_path, labels_dir) in outputs.items():
-        scored = score_mentions(scoreable, run.X, embeddings[space])
-        # Concepts never seen unfiltered have no embedding row; their
-        # mentions are all filtered, score them 0 so no record is lost.
-        scored += [ScoredMention(mention=m, score=0.0) for m in rest]
-        scored.sort(key=lambda s: s.mention.sort_key())
+        scored = score_mentions(run.mentions, run.X, embeddings[space])
         run.scored[space] = scored
         write_scored(scored, scored_path)
         write_label_files(scored, run.config.sweep, labels_dir)

@@ -2,8 +2,9 @@
 
 Each mention is scored by the cosine similarity between its concept's
 embedding and the count-weighted, leave-one-out sum of the embeddings of
-the other concepts in the same document. Sweeping a threshold over the
-scores turns them into positive/negative labels without any annotation.
+the other concepts in the same document, or 0 when its concept was only
+seen filtered. Sweeping a threshold over the scores turns them into
+positive/negative labels without any annotation.
 
 Scoring runs over blocks of ``SCORE_BLOCK`` mentions. A block's contexts
 are accumulated position by position along the documents' CSR rows: at
@@ -86,12 +87,14 @@ def score_mentions(
     X: DocConceptMatrix,
     embeddings: np.ndarray,
 ) -> list[ScoredMention]:
-    """Score every mention against its document context.
+    """Score every mention against its document context, in the given
+    order.
 
     ``embeddings`` holds one row per concept of ``X``, in concept order
     (raw co-occurrence rows and encoded vectors both work). Filtered
-    mentions are scored as well, flag intact. A mention whose concept has
-    no embedding row raises ValueError naming the concept.
+    mentions are scored as well, flag intact. A filtered mention whose
+    concept is not a column of ``X`` scores 0.0; an unfiltered one raises
+    ValueError naming the concept.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or embeddings.shape[0] != X.m_concepts:
@@ -100,15 +103,18 @@ def score_mentions(
             f"{X.m_concepts} concepts"
         )
     n = len(mentions)
-    concepts = np.empty(n, dtype=np.intp)
+    # Concepts never seen unfiltered have no embedding row; their mentions
+    # are all filtered, keep concept -1 and score 0 so no record is lost.
+    concepts = np.full(n, -1, dtype=np.intp)
     docs = np.empty(n, dtype=np.intp)
     for k, mention in enumerate(mentions):
-        if not X.has_concept(mention.concept_id):
-            raise ValueError(
-                f"no embedding for concept {mention.concept_id!r}"
-            )
-        concepts[k] = X.concept_index(mention.concept_id)
-        docs[k] = X.doc_index(mention.doc_id)
+        if X.has_concept(mention.concept_id):
+            concepts[k] = X.concept_index(mention.concept_id)
+            docs[k] = X.doc_index(mention.doc_id)
+        elif not mention.filtered:
+            raise ValueError(f"no embedding for concept {mention.concept_id!r}")
+    kept = np.flatnonzero(concepts >= 0)
+    concepts, docs = concepts[kept], docs[kept]
     indptr = X.counts.indptr
     starts = indptr[docs]
     lengths = indptr[docs + 1] - starts
@@ -117,8 +123,8 @@ def score_mentions(
     order = np.argsort(-lengths, kind="stable")
     columns = X.counts.indices
     weights = X.counts.data.astype(np.float64)
-    scores = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, SCORE_BLOCK):
+    scores = np.zeros(n, dtype=np.float64)
+    for lo in range(0, len(kept), SCORE_BLOCK):
         block = order[lo : lo + SCORE_BLOCK]
         own = embeddings[concepts[block]]
         context = np.zeros_like(own)
@@ -131,7 +137,7 @@ def score_mentions(
             keep = np.flatnonzero(cols != block_concepts[:active])
             weight = weights[block_starts[keep] + p]
             context[keep] += weight[:, None] * embeddings[cols[keep]]
-        scores[block] = _rowwise_cosine(own, context)
+        scores[kept[block]] = _rowwise_cosine(own, context)
     return [
         ScoredMention(mention=mention, score=score)
         for mention, score in zip(mentions, scores.tolist())

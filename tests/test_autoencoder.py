@@ -316,6 +316,19 @@ def test_load_model_checks_every_parameter(tmp_path, key, value):
         load_model(path)
 
 
+def test_load_model_names_a_malformed_file(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(init_model(AEConfig(input_dim=7, encoded_dim=3, seed=1)), path)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    del record["w_dec"]
+    path.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(ValueError, match="model.json: missing field 'w_dec'"):
+        load_model(path)
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="model.json: expected a JSON object"):
+        load_model(path)
+
+
 def test_batched_forward_matches_single(tmp_path):
     model = init_model(AEConfig(input_dim=6, encoded_dim=2, seed=10))
     X = np.random.default_rng(11).normal(size=(4, 6))

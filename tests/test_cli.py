@@ -127,6 +127,8 @@ class TestLoadConfig:
             pytest.param("seed = 7", "seed = -1", [], "run.seed", id="seed"),
             pytest.param("[run]", "[ner]\nnegation_window = -1\n[run]", [],
                          "ner.negation_window", id="negation_window"),
+            pytest.param("[run]", "[ner]\nnegation_cues = no, --\n[run]", [],
+                         "ner.negation_cues: negation cue '--'", id="negation_cues"),
             pytest.param("encoded_dim = auto", "encoded_dim = 0", [],
                          "autoencoder.encoded_dim", id="encoded_dim"),
             pytest.param("learning_rate = 0.1", "learning_rate = -0.1", [],

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,12 +81,6 @@ class TestMatchToGold:
             (mention("d", "C2", 0), True),
         ]
         assert match_to_gold(predicted, gs) == ConfusionCounts(tp=1, fp=0, fn=0)
-
-    def test_out_of_bounds_gold_with_corpus(self):
-        corpus = Corpus(docs=(Document(doc_id="d", text="short"),))
-        gs = [gold("d", 0, 99, "NLP_TRUE")]
-        with pytest.raises(GoldError, match="out of bounds"):
-            match_to_gold([], gs, corpus=corpus)
 
     def test_tp_plus_fn_equals_gold_true_count(self):
         rng = np.random.default_rng(71)
@@ -358,3 +354,21 @@ class TestGoldIO:
         corpus = Corpus(docs=(Document(doc_id="a", text="text here"),))
         with pytest.raises(GoldError, match="unknown doc"):
             load_gold(path, corpus)
+
+    def test_out_of_bounds_gold_with_corpus(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        write_gold([gold("d", 0, 99, "NLP_TRUE")], path)
+        corpus = Corpus(docs=(Document(doc_id="d", text="short"),))
+        with pytest.raises(GoldError, match="out of bounds"):
+            load_gold(path, corpus)
+
+    @pytest.mark.parametrize(
+        "key, value", [("start", 3.7), ("end", "9"), ("start", True)]
+    )
+    def test_offsets_must_be_json_integers(self, tmp_path, key, value):
+        path = tmp_path / "gold.jsonl"
+        record = {"doc_id": "a", "start": 3, "end": 9, "label": "NLP_TRUE", key: value}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        message = f"gold.jsonl: line 1: {key} must be an integer, got {value!r}"
+        with pytest.raises(GoldError, match=re.escape(message)):
+            load_gold(path)

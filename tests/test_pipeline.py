@@ -1,4 +1,8 @@
+import ast
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,8 +17,10 @@ from conceptmine.pipeline import (
     stage_of,
 )
 from conceptmine.lexicon import load_lexicon
+from conceptmine.matrix import read_id_file
+from conceptmine.ner import read_mentions
 
-from conftest import DATA_DIR, write_lexicon_csv
+from conftest import DATA_DIR, REPO_ROOT, write_lexicon_csv
 
 
 def write_inputs(root, corpus_lines, gold_lines, extra_config=""):
@@ -312,3 +318,56 @@ def test_cached_label_files_must_be_the_sweeps(tmp_path, capsys):
     for space in ("raw", "encoded"):
         assert sorted(p.name for p in (tmp_path / "out" / f"labels_{space}").iterdir()) == names
     assert len((tmp_path / "out" / "pr_raw.csv").read_text(encoding="utf-8").splitlines()) == 4
+
+
+def _traced_artifacts():
+    """``TRACED_ARTIFACTS`` of the benchmark's ``run.py``, read without
+    importing it."""
+    tree = ast.parse((REPO_ROOT / "pipebench" / "run.py").read_text(encoding="utf-8"))
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TRACED_ARTIFACTS"]
+    )
+
+
+def test_benchmark_trace_writes_what_the_pipeline_writes(tmp_path):
+    # pipebench/run.py --trace 1 calls the layers itself and requires its
+    # files to equal the pipeline's; a pipeline change must keep that true.
+    # "bullying" is only ever negated here, so its concept has no matrix
+    # column and its mention takes the zero-score path.
+    corpus = [
+        {"id": "a", "text": "child abuse and child neglect, then emotional neglect."},
+        {"id": "b", "text": "child abuse again, then emotional neglect."},
+        {"id": "c", "text": "no bullying, just child neglect and child abuse."},
+    ]
+    gold = [
+        {"doc_id": "b", "start": 0, "end": 11, "label": "NLP_TRUE"},
+        {"doc_id": "a", "start": 16, "end": 29, "label": "Not_ACEs"},
+    ]
+    config_path = write_inputs(tmp_path, corpus, gold, TINY_AE)
+    config = load_config(config_path)
+    run_pipeline(config)
+    columns = set(read_id_file(config.output_dir / "concept_order.txt"))
+    mentions = read_mentions(config.output_dir / "mentions.jsonl")
+    assert [m.surface for m in mentions if m.concept_id not in columns] == ["bullying"]
+    summary = json.loads((config.output_dir / "auc_summary.json").read_text(encoding="utf-8"))
+    traced = tmp_path / "traced"
+    tracer = [
+        sys.executable, str(REPO_ROOT / "pipebench" / "trace_pipeline.py"),
+        "--config", str(config_path), "--output", str(traced),
+    ]
+    pythonpath = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    for argv in (tracer, [*tracer, "--stage", "eval"]):
+        proc = subprocess.run(
+            argv, cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == 0, proc.stderr
+        auc = json.loads(proc.stdout.splitlines()[-1])["auc"]
+        assert auc == {space: summary[space] for space in ("raw", "encoded")}
+        for name in _traced_artifacts():
+            assert (traced / name).read_bytes() == (config.output_dir / name).read_bytes(), name

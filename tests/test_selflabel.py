@@ -165,6 +165,21 @@ class TestScoreMentions:
         with pytest.raises(ValueError, match="'Z'"):
             score_mentions([mention("d1", "Z")], X, embeddings)
 
+    def test_filtered_mention_of_unobserved_concept_scores_zero(self):
+        X, C, _ = toy_setup()
+        embeddings = concept_embeddings(C)
+        mentions = [
+            mention("d4", "A"),
+            mention("d1", "Z", start=4, filtered=True),
+            mention("d1", "A"),
+        ]
+        scored = score_mentions(mentions, X, embeddings)
+        assert [s.mention for s in scored] == mentions
+        assert [s.score for s in scored] == pytest.approx(
+            [5.0 / math.sqrt(70.0), 0.0, 10.0 / math.sqrt(112.0)], abs=1e-12
+        )
+        assert scored[1].score == 0.0
+
     @pytest.mark.parametrize("space", ["raw", "encoded", "constructed"])
     def test_equals_context_vector_oracle(self, space):
         X, mentions, special = random_scoring_setup(np.random.default_rng(83))
