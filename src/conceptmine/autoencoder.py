@@ -253,7 +253,10 @@ def save_model(model: AEModel, path: str | Path, seed: int | None = None) -> Non
 def load_model(path: str | Path) -> AEModel:
     """Read a :func:`save_model` file; every parameter's shape must agree
     with the header and the activation must be known."""
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(record, dict):
         raise ValueError(f"{path}: expected a JSON object")
     if record.get("format") != MODEL_FORMAT:

@@ -5,20 +5,18 @@ stage, the files it writes under the output directory, ``compute`` (a
 pure computation plus the writers of those files) and ``read`` (the
 cached load; ``eval`` has none). :func:`run_pipeline` walks the table
 once. A stage is read from its files only when ``upto`` names a later
-stage, all of its files exist and every stage before it was read too;
-otherwise it is computed. A cached mention list or matrix that does not
-fit the corpus, a cached model whose dimensions or activation differ
-from the config's, a cached score file that does not hold exactly the
-cached mentions, or label files that are not the sweep's is an error;
-other config changes are not detected. Any exception inside a stage
-becomes a :class:`PipelineError` naming it. All outputs are canonically
-ordered; reruns with the same config and seed are byte-identical.
+stage, all of its files exist, every stage before it was read too and
+``fingerprint.json`` equals this run's :func:`fingerprint`; otherwise it
+is computed. Any exception inside a stage becomes a
+:class:`PipelineError` naming it. All outputs are canonically ordered;
+reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
+import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -52,7 +50,6 @@ from .matrix import (
 from .ner import Mention, find_corpus_mentions, read_mentions, write_mentions
 from .selflabel import (
     ScoredMention,
-    label_file_name,
     read_scored,
     score_mentions,
     write_label_files,
@@ -60,6 +57,9 @@ from .selflabel import (
 )
 
 SELECTED_CONCEPTS = "selected_concepts.txt"
+FINGERPRINT = "fingerprint.json"
+# Outputs do not depend on these: eval is never read back, threads change no byte.
+_UNFINGERPRINTED = ("output_dir", "gold_path", "threads")
 
 
 class PipelineError(RuntimeError):
@@ -137,14 +137,6 @@ def _ner(run: _Run, path: Path) -> None:
 
 def _read_ner(run: _Run, path: Path) -> None:
     run.mentions = read_mentions(path)
-    texts = {doc.doc_id: doc.text for doc in run.corpus.docs}
-    for m in run.mentions:
-        text = texts.get(m.doc_id)
-        if text is None or text[m.start : m.end] != m.surface:
-            raise ValueError(
-                f"cached mention {m.surface!r} at {m.doc_id}:{m.start}-{m.end} "
-                "does not fit the corpus; rerun without --stage"
-            )
 
 
 def _matrix(
@@ -168,20 +160,15 @@ def _read_matrix(
         counts=read_sparse_counts(doc_matrix),
     )
     run.C = CoocMatrix(concept_ids=concept_ids, counts=read_sparse_counts(cooc))
-    if run.X.doc_ids != run.corpus.doc_ids():
-        raise ValueError(
-            f"cached {doc_order.name} does not list the corpus's documents; "
-            "rerun without --stage"
-        )
 
 
-def _ae_config(run: _Run) -> ae.AEConfig:
+def _autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
     config = run.config
     m = run.C.m_concepts
     if m < 2:
         raise ValueError(f"need at least 2 observed concepts to train, got {m}")
     encoded_dim = config.ae.encoded_dim
-    return ae.AEConfig(
+    ae_config = ae.AEConfig(
         input_dim=m,
         encoded_dim=max(1, m // 4) if encoded_dim is None else encoded_dim,
         learning_rate=config.ae.learning_rate,
@@ -190,11 +177,6 @@ def _ae_config(run: _Run) -> ae.AEConfig:
         seed=config.seed,
         activation=config.ae.activation,
     )
-
-
-def _autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
-    config = run.config
-    ae_config = _ae_config(run)
     data = concept_embeddings(run.C, normalized=config.normalized)
     run.model, report = ae.train(ae.init_model(ae_config), data, ae_config)
     ae.save_model(run.model, model_path, seed=config.seed)
@@ -208,14 +190,6 @@ def _autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
 
 def _read_autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
     run.model = ae.load_model(model_path)
-    model, want = run.model, _ae_config(run)
-    cached = (model.input_dim, model.encoded_dim, model.activation)
-    wanted = (want.input_dim, want.encoded_dim, want.activation)
-    if cached != wanted:
-        raise ValueError(
-            f"cached {model_path.name} has (input_dim, encoded_dim, activation) "
-            f"{cached}, the config asks for {wanted}; rerun without --stage"
-        )
 
 
 def _score(
@@ -234,13 +208,6 @@ def _score(
 
 
 def _read_score(run: _Run, raw: Path, encoded: Path, *labels: Path) -> None:
-    names = sorted(label_file_name(tau) for tau in run.config.sweep.thresholds)
-    for labels_dir in labels:
-        if sorted(p.name for p in labels_dir.glob("threshold_*.csv")) != names:
-            raise ValueError(
-                f"cached {labels_dir.name} does not hold the label files of the "
-                "configured thresholds; rerun with --stage score"
-            )
     for space, path in (("raw", raw), ("encoded", encoded)):
         run.scored[space] = read_scored(path)
         if [s.mention for s in run.scored[space]] != run.mentions:
@@ -324,6 +291,27 @@ def stage_of(name: str) -> str:
     return next((stage.name for stage in _TABLE if name in stage.files), "run")
 
 
+def _plain(value: object) -> object:
+    """JSON form of a config value: an input file is its size and CRC-32."""
+    if isinstance(value, Path):
+        crc = 0
+        with value.open("rb") as handle:  # 64 KiB at a time, so peak RSS stays put
+            while chunk := handle.read(1 << 16):
+                crc = zlib.crc32(chunk, crc)
+        return [value.stat().st_size, crc]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    raise TypeError(f"cannot fingerprint a {type(value).__name__}")
+
+
+def fingerprint(config: PipelineConfig) -> str:
+    """The config as JSON less ``_UNFINGERPRINTED``, input files by content."""
+    doc = asdict(config)
+    for name in _UNFINGERPRINTED:
+        del doc[name]
+    return json.dumps(doc, sort_keys=True, default=_plain) + "\n"
+
+
 @contextmanager
 def _failing_as(stage: str) -> Iterator[None]:
     try:
@@ -336,10 +324,11 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
     """Run the pipeline.
 
     With ``upto=None`` every stage is computed fresh. With a stage name,
-    stages before it reuse their cached artifacts when all are present
-    and no earlier stage was recomputed; the named stage itself is
-    recomputed, the run stops after it and every later stage's files
-    are removed.
+    the stages before it are read back by the module's rule, the named
+    stage is computed, the run stops after it and every later stage's
+    files are removed. ``fingerprint.json`` is removed before a stage
+    that can be read back is computed and rewritten after it, so it
+    never vouches for a half-written stage.
     """
     if upto is not None and upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}, expected one of {STAGES}")
@@ -351,6 +340,9 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
         selected = select_concepts(lexicon, config.expand_groups)
         vocab = build_vocabulary(lexicon, selected)
         write_id_file(sorted(selected), root / SELECTED_CONCEPTS)
+        built_from, stamp = fingerprint(config), root / FINGERPRINT
+        reuse = upto is not None and stamp.is_file()
+        reuse = reuse and stamp.read_bytes() == built_from.encode()
 
     last = STAGES.index(upto or STAGES[-1])
     # Later stages' artifacts no longer follow from this run's; drop them.
@@ -360,13 +352,18 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
         path.unlink(missing_ok=True)
 
     run = _Run(config, lexicon, corpus, vocab)
-    reuse = upto is not None
     for stage in _TABLE[: last + 1]:
         paths = [root / name for name in stage.files]
         # Once a stage is computed, every later stage is computed too.
         reuse = reuse and stage.name != upto and all(p.exists() for p in paths)
+        # eval's files are never read back, so it leaves the fingerprint be.
+        renew = not reuse and stage.read is not None
         with _failing_as(stage.name):
+            if renew:
+                stamp.unlink(missing_ok=True)
             (stage.read if reuse else stage.compute)(run, *paths)
+            if renew:
+                stamp.write_text(built_from, encoding="utf-8")
 
     return RunResult(
         n_docs=len(corpus),

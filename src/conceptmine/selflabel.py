@@ -68,7 +68,7 @@ class ThresholdSweep:
             raise ValueError("thresholds must be strictly increasing")
         named: dict[str, float] = {}
         for tau in self.thresholds:
-            name = label_file_name(tau)
+            name = _label_file_name(tau)
             if name in named:
                 raise ValueError(
                     f"thresholds {named[name]!r} and {tau!r} share the label "
@@ -77,7 +77,7 @@ class ThresholdSweep:
             named[name] = tau
 
 
-def label_file_name(tau: float) -> str:
+def _label_file_name(tau: float) -> str:
     """Name of the label file written for threshold ``tau``."""
     return f"threshold_{tau:g}.csv"
 
@@ -215,12 +215,12 @@ def write_label_files(
     labels_dir = Path(labels_dir)
     labels_dir.mkdir(parents=True, exist_ok=True)
     rows = _LabelRows(scored)
-    names = {label_file_name(tau) for tau in sweep.thresholds}
+    names = {_label_file_name(tau) for tau in sweep.thresholds}
     for stale in labels_dir.glob("threshold_*.csv"):
         if stale.name not in names:
             stale.unlink()
     for tau in sweep.thresholds:
-        _write_label_file(rows, tau, labels_dir / label_file_name(tau))
+        _write_label_file(rows, tau, labels_dir / _label_file_name(tau))
 
 
 class _LabelRows:

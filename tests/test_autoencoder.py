@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -326,6 +327,16 @@ def test_load_model_names_a_malformed_file(tmp_path):
         load_model(path)
     path.write_text("[1, 2]\n", encoding="utf-8")
     with pytest.raises(ValueError, match="model.json: expected a JSON object"):
+        load_model(path)
+
+
+def test_load_model_names_the_file_and_line_of_invalid_json(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(init_model(AEConfig(input_dim=7, encoded_dim=3, seed=1)), path)
+    cut = path.read_text(encoding="utf-8")[:500]
+    path.write_text(cut, encoding="utf-8")
+    line = cut.count("\n") + 1
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: invalid JSON (")):
         load_model(path)
 
 

@@ -336,3 +336,27 @@ def test_cli_imports_only_stdlib_and_numpy(tmp_path):
     assert loaded - set(sys.stdlib_module_names) == {"conceptmine", "numpy"}
     # Nor concurrent.futures, which costs every start 6-8 ms for nothing.
     assert "concurrent" not in loaded
+
+
+def test_a_cached_rerun_loads_no_openssl(small_setup, tmp_path):
+    # hashlib loads OpenSSL, megabytes of peak RSS that a cached rerun has
+    # no use for. A fresh run trains with numpy.random, which imports
+    # _hashlib through secrets and hmac, so only ssl is barred there.
+    probe = (
+        "import sys; from conceptmine.cli import main; code = main(sys.argv[1:]); "
+        "print('loaded', *sorted({'_hashlib', 'ssl'} & set(sys.modules))); sys.exit(code)"
+    )
+    pythonpath = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    argv = [sys.executable, "-c", probe, "run", "--config", str(small_setup / "config.ini"),
+            "--output", str(tmp_path / "out"), "--epochs", "5"]
+    loaded = []
+    for extra in ([], ["--stage", "eval"]):
+        proc = subprocess.run(
+            [*argv, *extra], cwd=tmp_path, capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        loaded.append(proc.stdout.splitlines()[-1].split()[1:])
+    assert "ssl" not in loaded[0]
+    assert loaded[1] == []

@@ -1,14 +1,18 @@
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
+from conceptmine import autoencoder as ae
 from conceptmine.cli import main
-from conceptmine.config import load_config
+from conceptmine.config import PipelineConfig, load_config
 from conceptmine.pipeline import (
+    FINGERPRINT,
     SELECTED_CONCEPTS,
     STAGES,
     PipelineError,
@@ -38,6 +42,26 @@ def write_inputs(root, corpus_lines, gold_lines, extra_config=""):
         encoding="utf-8",
     )
     return root / "config.ini"
+
+
+def tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def assert_stage_eval_is_fresh(config_path, *flags):
+    """``--stage eval`` on the config's output tree exits 0 and leaves the
+    tree a fresh run of the same setup writes."""
+    argv = ["run", "--config", str(config_path), *flags]
+    assert main([*argv, "--stage", "eval"]) == 0
+    fresh = config_path.parent / "fresh"
+    shutil.rmtree(fresh, ignore_errors=True)
+    assert main([*argv, "--output", str(fresh)]) == 0
+    assert tree(config_path.parent / "out") == tree(fresh)
+
+
+def _fail_training(*args, **kwargs):
+    raise RuntimeError("training failed")
 
 
 def test_select_concepts_is_leaves_plus_group_closure(tmp_path):
@@ -168,25 +192,19 @@ TINY_CORPUS = [
 TINY_AE = "[autoencoder]\nencoded_dim = 2\nepochs = 5\n"
 
 
-def test_cached_artifacts_must_fit_the_corpus(tmp_path, capsys):
+def test_cached_artifacts_must_fit_the_corpus(tmp_path):
     config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
     config = load_config(config_path)
     run_pipeline(config)
     # Same ids, other texts: every cached mention's surface is stale.
     shifted = [{"id": d["id"], "text": "so " + d["text"]} for d in TINY_CORPUS]
     write_inputs(tmp_path, shifted, [], TINY_AE)
-    with pytest.raises(PipelineError, match=r"stage ner: cached mention 'child abuse' at a:0-11"):
-        run_pipeline(config, upto="eval")
-    assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 1
-    assert "rerun without --stage" in capsys.readouterr().err
+    assert_stage_eval_is_fresh(config_path)
 
     run_pipeline(config)
     # One more document: the cached mentions still fit, the matrix rows do not.
     write_inputs(tmp_path, shifted + [{"id": "d", "text": "bullying"}], [], TINY_AE)
-    with pytest.raises(PipelineError, match="stage matrix: cached doc_order.txt"):
-        run_pipeline(config, upto="eval")
-    assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 1
-    assert "stage matrix" in capsys.readouterr().err
+    assert_stage_eval_is_fresh(config_path)
 
 
 @pytest.mark.parametrize(
@@ -202,20 +220,16 @@ def test_unwritable_artifact_names_its_stage(tmp_path, capsys, name, stage):
 def test_every_output_file_belongs_to_a_stage(tmp_path):
     config = load_config(write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE))
     run_pipeline(config)
-    names = {p.name for p in config.output_dir.iterdir()} - {SELECTED_CONCEPTS}
+    names = {p.name for p in config.output_dir.iterdir()} - {SELECTED_CONCEPTS, FINGERPRINT}
     assert {name: stage_of(name) for name in names if stage_of(name) not in STAGES} == {}
+    assert stage_of(FINGERPRINT) == "run"
 
 
-def test_cached_model_must_fit_the_config(tmp_path, capsys):
+def test_cached_model_must_fit_the_config(tmp_path):
     config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
     run_pipeline(load_config(config_path))
-    other = load_config(config_path, {"encoded_dim": 1})
-    with pytest.raises(PipelineError, match=r"stage autoencoder: cached autoencoder.json"):
-        run_pipeline(other, upto="eval")
-    argv = ["run", "--config", str(config_path), "--stage", "eval"]
-    assert main([*argv, "--encoded-dim", "1"]) == 1
-    assert "rerun without --stage" in capsys.readouterr().err
-    assert main(argv) == 0
+    assert_stage_eval_is_fresh(config_path, "--encoded-dim", "1")
+    assert_stage_eval_is_fresh(config_path)
 
 
 def test_unknown_expand_group_fails(tmp_path, capsys):
@@ -297,27 +311,103 @@ def test_a_stage_run_drops_every_later_stages_artifacts(tmp_path):
         assert cached.read_bytes() == path.read_bytes(), path.name
 
 
-def test_cached_label_files_must_be_the_sweeps(tmp_path, capsys):
+def test_cached_label_files_must_be_the_sweeps(tmp_path):
     run_pipeline(load_config(write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)))
     config_path = write_inputs(
         tmp_path, TINY_CORPUS, [], TINY_AE + "[selflabel]\nthresholds = 0.25, 0.5, 0.75\n"
     )
-    config = load_config(config_path)
-    message = (
-        "stage score: cached labels_raw does not hold the label files of the "
-        "configured thresholds; rerun with --stage score"
-    )
-    with pytest.raises(PipelineError, match=message):
-        run_pipeline(config, upto="eval")
-    assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 1
-    assert message in capsys.readouterr().err
-
-    run_pipeline(config, upto="score")
-    run_pipeline(config, upto="eval")
+    assert_stage_eval_is_fresh(config_path)
     names = ["threshold_0.25.csv", "threshold_0.5.csv", "threshold_0.75.csv"]
     for space in ("raw", "encoded"):
         assert sorted(p.name for p in (tmp_path / "out" / f"labels_{space}").iterdir()) == names
     assert len((tmp_path / "out" / "pr_raw.csv").read_text(encoding="utf-8").splitlines()) == 4
+
+
+# One changed input or setting each: (file, text in it, replacement, flags).
+CHANGED_SETUPS = {
+    "epochs": (None, None, None, ["--epochs", "1"]),
+    "learning_rate": (None, None, None, ["--learning-rate", "0.2"]),
+    "seed": (None, None, None, ["--seed", "3"]),
+    "batch_size": ("config.ini", "epochs = 5\n", "epochs = 5\nbatch_size = 2\n", []),
+    "normalized": (None, None, None, ["--no-normalized"]),
+    "negation_window": (
+        "config.ini", "output = out\n", "output = out\n[ner]\nnegation_window = 0\n", []
+    ),
+    "stop_surfaces": (
+        "config.ini", "output = out\n", "output = out\n[ner]\nstop_surfaces = bullying\n", []
+    ),
+    "expand_groups": (
+        "config.ini", "output = out\n", "output = out\n[lexicon]\nexpand_groups = ACE\n", []
+    ),
+    "lexicon_synonym": (
+        "lexicon.csv",
+        "C3000021,child neglect,true,C3000020,ACE\n",
+        "C3000021,child neglect,true,C3000020,ACE\nC3000021,home,false,C3000020,ACE\n",
+        [],
+    ),
+    # Text added after the last mention: every cached offset still fits.
+    "corpus_edit": (
+        "corpus.jsonl",
+        'bullying and child neglect."',
+        'bullying and child neglect, then child abuse."',
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("change", sorted(CHANGED_SETUPS))
+def test_a_changed_input_or_setting_recomputes(tmp_path, change):
+    name, old, new, flags = CHANGED_SETUPS[change]
+    corpus = NEGATED_CORPUS + [{"id": "d", "text": "years of neglect, then bullying."}]
+    config_path = write_inputs(tmp_path, corpus, [], TINY_AE)
+    assert main(["run", "--config", str(config_path)]) == 0
+    if name is not None:
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        (tmp_path / name).write_text(text.replace(old, new), encoding="utf-8")
+    assert_stage_eval_is_fresh(config_path, *flags)
+
+
+def test_fingerprint_holds_every_setting_the_outputs_depend_on(tmp_path, monkeypatch):
+    config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
+    argv = ["run", "--config", str(config_path), "--stage", "ner"]
+    assert main(argv) == 0
+    stamp = (tmp_path / "out" / FINGERPRINT).read_bytes()
+    unused = {"output_dir", "gold_path", "threads"}
+    assert set(json.loads(stamp)) == {f.name for f in fields(PipelineConfig)} - unused
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--threads", "4"]) == 0
+    assert main([*argv, "--output", "relative"]) == 0
+    assert (tmp_path / "out" / FINGERPRINT).read_bytes() == stamp
+    assert (tmp_path / "relative" / FINGERPRINT).read_bytes() == stamp
+
+
+def test_a_failed_stage_leaves_no_fingerprint(tmp_path, monkeypatch, capsys):
+    config_path = write_inputs(tmp_path, NEGATED_CORPUS, [], TINY_AE)
+    assert main(["run", "--config", str(config_path)]) == 0
+    # NER and the matrix are rewritten under the new setting; the model
+    # and scores on disk are still the old setting's.
+    write_inputs(tmp_path, NEGATED_CORPUS, [], TINY_AE + "[ner]\nnegation_window = 0\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(ae, "train", _fail_training)
+        assert main(["run", "--config", str(config_path)]) == 1
+    assert "stage autoencoder: training failed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / FINGERPRINT).exists()
+    write_inputs(tmp_path, NEGATED_CORPUS, [], TINY_AE)
+    assert_stage_eval_is_fresh(config_path)
+
+
+def test_a_fixed_gold_file_reuses_every_stage(tmp_path, monkeypatch, capsys):
+    unknown_doc = [{"doc_id": "z", "start": 0, "end": 4, "label": "NLP_TRUE"}]
+    config_path = write_inputs(tmp_path, TINY_CORPUS, unknown_doc, TINY_AE)
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "error: stage eval: " in capsys.readouterr().err
+    gold = [{"doc_id": "a", "start": 0, "end": 11, "label": "NLP_TRUE"}]
+    write_inputs(tmp_path, TINY_CORPUS, gold, TINY_AE)
+    # A failed eval wrote nothing a later stage reads: nothing is retrained.
+    monkeypatch.setattr(ae, "train", _fail_training)
+    assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 0
+    assert (tmp_path / "out" / "auc_summary.json").is_file()
 
 
 def _traced_artifacts():
