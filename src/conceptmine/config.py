@@ -91,6 +91,13 @@ def _encoded_dim(raw: str) -> int | None:
     return None if raw.lower() == "auto" else _int(1)(raw)
 
 
+def _thresholds(raw: str) -> ThresholdSweep:
+    thresholds = tuple(float(x) for x in _split_list(raw))
+    if len(thresholds) < 2:  # a PR-AUC needs two points
+        raise ValueError(f"expected at least 2 thresholds, got {len(thresholds)}")
+    return ThresholdSweep(thresholds)
+
+
 def _activation(raw: str) -> str:
     if raw not in ACTIVATIONS:
         raise ValueError(f"expected one of {ACTIVATIONS}, got {raw!r}")
@@ -120,8 +127,7 @@ _OPTIONS: dict[tuple[str, str], tuple[str | None, Callable[[str], object]]] = {
     ("autoencoder", "batch_size"): ("16", _int(1)),
     ("autoencoder", "activation"): ("identity", _activation),
     ("selflabel", "thresholds"): (
-        ", ".join(map(repr, ThresholdSweep().thresholds)),
-        lambda raw: ThresholdSweep(tuple(float(x) for x in _split_list(raw))),
+        ", ".join(map(repr, ThresholdSweep().thresholds)), _thresholds
     ),
     ("run", "seed"): ("7", _int(0)),
     ("run", "threads"): ("1", _int(1)),

@@ -4,20 +4,17 @@ Gold files are JSONL records ``{doc_id, start, end, concept_id?, label}``
 with label one of NLP_TRUE (system-found true positive span), Not_ACEs
 (system false positive), Manual_ACEs (annotator-added span the system
 missed). NLP_TRUE and Manual_ACEs are the gold-true spans. Offsets must
-be JSON integers; :func:`load_gold` checks each record as it reads it.
+be JSON integers, ``doc_id`` a string and ``concept_id`` a string, null
+or absent; :func:`load_gold` checks each record as it reads it.
 
 Matching is exact-span: a predicted-positive span is a true positive iff
 a gold-true annotation has the identical (doc_id, start, end). Predicted
 spans are deduplicated, so several concepts on one span count once
 globally; this keeps tp + fn equal to the number of gold-true
-annotations.
-
-The PR sweep sorts once (the PR curve construction of Davis & Goadrich,
-ICML 2006): a span is positive at threshold tau iff the highest score of
-its unfiltered mentions is >= tau, so each gold-true annotation carries
-its span's highest score (-inf when never predicted) and every other
-predicted span its own. With both lists sorted, one ``np.searchsorted``
-gives tp and fp at every threshold.
+annotations. :func:`match_to_gold` and :func:`pr_sweep` count with one
+:func:`_counts_at`, so the sweep equals ``label_at_threshold`` plus
+:func:`match_to_gold` by construction; tests check both against
+set-based references.
 """
 
 from __future__ import annotations
@@ -101,16 +98,19 @@ class PRPoint:
 
 
 def load_gold(path: str | Path, corpus: Corpus | None = None) -> list[GoldAnnotation]:
-    """Read gold JSONL. Offsets must be JSON integers; with a corpus, each
-    span's doc must be in it and the span within the doc's text. A bad
-    line raises :class:`GoldError` as ``<path>: line N: <reason>``."""
+    """Read gold JSONL, checking field types as the module says; with a
+    corpus, each span's doc must be in it and the span within the doc's
+    text. A bad line raises :class:`GoldError` as ``<path>: line N: <reason>``."""
     lengths = None if corpus is None else {d.doc_id: len(d.text) for d in corpus.docs}
     gold: list[GoldAnnotation] = []
     for line_no, record in read_records(path, GoldError, ("doc_id", "start", "end", "label")):
         try:
-            for key in ("start", "end"):
-                if type(record[key]) is not int:  # a bool is not an offset
-                    raise GoldError(f"{key} must be an integer, got {record[key]!r}")
+            for key, kind in (("start", int), ("end", int), ("doc_id", str), ("concept_id", str)):
+                value = record.get(key)
+                # A bool is not an offset; only concept_id may be null or absent.
+                if type(value) is not kind and (value is not None or key != "concept_id"):
+                    what = "an integer" if kind is int else "a string"
+                    raise GoldError(f"{key} must be {what}, got {value!r}")
             g = GoldAnnotation(
                 doc_id=record["doc_id"],
                 start=record["start"],
@@ -131,19 +131,32 @@ def load_gold(path: str | Path, corpus: Corpus | None = None) -> list[GoldAnnota
     return gold
 
 
+def _counts_at(
+    best: dict[SpanKey, float], gold: Sequence[GoldAnnotation], taus: Sequence[float]
+) -> list[ConfusionCounts]:
+    """Exact-span counts at each of ``taus``; ``best`` maps each predicted
+    span to its score, and a span is positive at tau iff its score is >= tau.
+
+    Sorts once (the PR curve construction of Davis & Goadrich, ICML 2006):
+    each gold-true annotation carries its span's score (-inf when never
+    predicted) and every other predicted span its own. With both lists
+    sorted, one ``np.searchsorted`` gives tp and fp at every threshold."""
+    true_spans = {g.span() for g in gold if g.is_true}
+    gold_scores = np.sort([best.get(g.span(), -math.inf) for g in gold if g.is_true])
+    other_scores = np.sort([v for k, v in best.items() if k not in true_spans])
+    at = np.array(taus, dtype=np.float64)
+    tp = len(gold_scores) - np.searchsorted(gold_scores, at, side="left")
+    fp = len(other_scores) - np.searchsorted(other_scores, at, side="left")
+    return [ConfusionCounts(t, f, len(gold_scores) - t) for t, f in zip(tp.tolist(), fp.tolist())]
+
+
 def match_to_gold(
     predicted: Sequence[tuple[Mention, bool]],
     gold: Sequence[GoldAnnotation],
 ) -> ConfusionCounts:
     """Exact-span confusion counts of predicted positives against gold."""
-    positive_spans = {
-        (m.doc_id, m.start, m.end) for m, label in predicted if label
-    }
-    true_spans = {g.span() for g in gold if g.is_true}
-    tp = sum(1 for g in gold if g.is_true and g.span() in positive_spans)
-    fn = sum(1 for g in gold if g.is_true and g.span() not in positive_spans)
-    fp = len(positive_spans - true_spans)
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn)
+    best = {(m.doc_id, m.start, m.end): 0.0 for m, label in predicted if label}
+    return _counts_at(best, gold, (0.0,))[0]
 
 
 def compute_metrics(counts: ConfusionCounts) -> Metrics:
@@ -173,52 +186,34 @@ def per_concept_metrics(
     global count. Support is the number of gold-true annotations per
     concept.
     """
+    span_concepts: dict[SpanKey, set[ConceptId]] = {}
+    for m, label in predicted:
+        if label:
+            span_concepts.setdefault((m.doc_id, m.start, m.end), set()).add(m.concept_id)
+
+    tally: dict[ConceptId, list[int]] = {}  # bucket -> [tp, fp, fn]
     for g in gold:
         if g.concept_id is not None and g.concept_id not in lexicon:
             raise GoldError(f"gold references unknown concept {g.concept_id!r}")
-
-    span_concepts: dict[SpanKey, set[ConceptId]] = {}
-    for mention, label in predicted:
-        if label:
-            key = (mention.doc_id, mention.start, mention.end)
-            span_concepts.setdefault(key, set()).add(mention.concept_id)
-
-    true_spans = {g.span() for g in gold if g.is_true}
-    tp: dict[ConceptId, int] = {}
-    fn: dict[ConceptId, int] = {}
-    fp: dict[ConceptId, int] = {}
-    for g in gold:
         if not g.is_true:
             continue
-        matched = g.span() in span_concepts
+        concepts = span_concepts.get(g.span())
         if g.concept_id is not None:
             bucket = g.concept_id
-        elif matched:
-            bucket = min(span_concepts[g.span()])
+        elif concepts:
+            bucket = min(concepts)
         else:
             bucket = UNMAPPED_BUCKET
-        if matched:
-            tp[bucket] = tp.get(bucket, 0) + 1
-        else:
-            fn[bucket] = fn.get(bucket, 0) + 1
+        tally.setdefault(bucket, [0, 0, 0])[0 if concepts else 2] += 1
+    true_spans = {g.span() for g in gold if g.is_true}
     for key, concepts in span_concepts.items():
         if key not in true_spans:
             for cid in concepts:
-                fp[cid] = fp.get(cid, 0) + 1
-
-    result: dict[ConceptId, ConceptMetrics] = {}
-    for cid in sorted(set(tp) | set(fn) | set(fp)):
-        counts = ConfusionCounts(
-            tp=tp.get(cid, 0), fp=fp.get(cid, 0), fn=fn.get(cid, 0)
-        )
-        metrics = compute_metrics(counts)
-        result[cid] = ConceptMetrics(
-            precision=metrics.precision,
-            recall=metrics.recall,
-            f1=metrics.f1,
-            support=counts.tp + counts.fn,
-        )
-    return result
+                tally.setdefault(cid, [0, 0, 0])[1] += 1
+    return {
+        cid: ConceptMetrics(*compute_metrics(ConfusionCounts(tp, fp, fn)), support=tp + fn)
+        for cid, (tp, fp, fn) in sorted(tally.items())
+    }
 
 
 def pr_sweep(
@@ -226,11 +221,9 @@ def pr_sweep(
     gold: Sequence[GoldAnnotation],
     sweep: ThresholdSweep,
 ) -> list[PRPoint]:
-    """One precision/recall point per threshold, in threshold order.
-
-    Equal to labeling at each threshold with ``label_at_threshold`` and
-    scoring with ``match_to_gold``; NaN scores are never positive.
-    """
+    """One precision/recall point per threshold, in threshold order. A span
+    scores the highest of its unfiltered mentions; NaN is never positive.
+    Equal by construction to ``label_at_threshold`` plus :func:`match_to_gold`."""
     best: dict[SpanKey, float] = {}
     for s in scored:
         m = s.mention
@@ -239,20 +232,8 @@ def pr_sweep(
         key = (m.doc_id, m.start, m.end)
         if key not in best or s.score > best[key]:
             best[key] = s.score
-    true_spans = {g.span() for g in gold if g.is_true}
-    gold_scores = np.sort([best.get(g.span(), -math.inf) for g in gold if g.is_true])
-    other_scores = np.sort([v for k, v in best.items() if k not in true_spans])
-    taus = np.array(sweep.thresholds, dtype=np.float64)
-    tp = len(gold_scores) - np.searchsorted(gold_scores, taus, side="left")
-    fp = len(other_scores) - np.searchsorted(other_scores, taus, side="left")
-    points = []
-    for tau, tp_at, fp_at in zip(sweep.thresholds, tp.tolist(), fp.tolist()):
-        counts = ConfusionCounts(tp=tp_at, fp=fp_at, fn=len(gold_scores) - tp_at)
-        metrics = compute_metrics(counts)
-        points.append(
-            PRPoint(threshold=tau, precision=metrics.precision, recall=metrics.recall)
-        )
-    return points
+    metrics = [compute_metrics(c) for c in _counts_at(best, gold, sweep.thresholds)]
+    return [PRPoint(tau, m.precision, m.recall) for tau, m in zip(sweep.thresholds, metrics)]
 
 
 def pr_auc(points: Sequence[PRPoint]) -> float:

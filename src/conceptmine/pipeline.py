@@ -50,6 +50,7 @@ from .matrix import (
 from .ner import Mention, find_corpus_mentions, read_mentions, write_mentions
 from .selflabel import (
     ScoredMention,
+    label_file_name,
     read_scored,
     score_mentions,
     write_label_files,
@@ -208,6 +209,13 @@ def _score(
 
 
 def _read_score(run: _Run, raw: Path, encoded: Path, *labels: Path) -> None:
+    names = sorted(label_file_name(tau) for tau in run.config.sweep.thresholds)
+    for labels_dir in labels:
+        if sorted(p.name for p in labels_dir.glob("threshold_*.csv")) != names:
+            raise ValueError(
+                f"cached {labels_dir.name} does not hold the label files of the sweep; "
+                "rerun without --stage"
+            )
     for space, path in (("raw", raw), ("encoded", encoded)):
         run.scored[space] = read_scored(path)
         if [s.mention for s in run.scored[space]] != run.mentions:

@@ -125,6 +125,8 @@ class TestLoadConfig:
             pytest.param("seed = 7", "seed = 7\nthreads = 0", [],
                          "run.threads", id="threads"),
             pytest.param("seed = 7", "seed = -1", [], "run.seed", id="seed"),
+            pytest.param("[run]", "[selflabel]\nthresholds = 0.5\n[run]", [],
+                         "selflabel.thresholds: expected at least 2", id="thresholds-one"),
             pytest.param("[run]", "[ner]\nnegation_window = -1\n[run]", [],
                          "ner.negation_window", id="negation_window"),
             pytest.param("[run]", "[ner]\nnegation_cues = no, --\n[run]", [],

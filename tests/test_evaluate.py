@@ -1,11 +1,13 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conceptmine.evaluate import (
+    ConceptMetrics,
     ConfusionCounts,
     GoldAnnotation,
     GoldError,
@@ -183,12 +185,72 @@ def scored_fixture(scores):
     ]
 
 
+def reference_match_to_gold(predicted, gold):
+    """Exact-span counts with span sets, independent of the sorted counter."""
+    positive_spans = {
+        (m.doc_id, m.start, m.end) for m, label in predicted if label
+    }
+    true_spans = {g.span() for g in gold if g.is_true}
+    tp = sum(1 for g in gold if g.is_true and g.span() in positive_spans)
+    fn = sum(1 for g in gold if g.is_true and g.span() not in positive_spans)
+    fp = len(positive_spans - true_spans)
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn)
+
+
+def reference_per_concept_metrics(predicted, gold, lexicon):
+    """Per-concept table kept in separate tp, fn and fp dicts."""
+    for g in gold:
+        if g.concept_id is not None and g.concept_id not in lexicon:
+            raise GoldError(f"gold references unknown concept {g.concept_id!r}")
+
+    span_concepts = {}
+    for mention, label in predicted:
+        if label:
+            key = (mention.doc_id, mention.start, mention.end)
+            span_concepts.setdefault(key, set()).add(mention.concept_id)
+
+    true_spans = {g.span() for g in gold if g.is_true}
+    tp, fn, fp = {}, {}, {}
+    for g in gold:
+        if not g.is_true:
+            continue
+        matched = g.span() in span_concepts
+        if g.concept_id is not None:
+            bucket = g.concept_id
+        elif matched:
+            bucket = min(span_concepts[g.span()])
+        else:
+            bucket = UNMAPPED_BUCKET
+        if matched:
+            tp[bucket] = tp.get(bucket, 0) + 1
+        else:
+            fn[bucket] = fn.get(bucket, 0) + 1
+    for key, concepts in span_concepts.items():
+        if key not in true_spans:
+            for cid in concepts:
+                fp[cid] = fp.get(cid, 0) + 1
+
+    result = {}
+    for cid in sorted(set(tp) | set(fn) | set(fp)):
+        counts = ConfusionCounts(
+            tp=tp.get(cid, 0), fp=fp.get(cid, 0), fn=fn.get(cid, 0)
+        )
+        metrics = compute_metrics(counts)
+        result[cid] = ConceptMetrics(
+            precision=metrics.precision,
+            recall=metrics.recall,
+            f1=metrics.f1,
+            support=counts.tp + counts.fn,
+        )
+    return result
+
+
 def reference_pr_sweep(scored, gold, sweep):
     """Label and match at every threshold separately."""
     points = []
     for tau in sweep.thresholds:
         labeled = label_at_threshold(scored, tau)
-        metrics = compute_metrics(match_to_gold(labeled, gold))
+        metrics = compute_metrics(reference_match_to_gold(labeled, gold))
         points.append(
             PRPoint(threshold=tau, precision=metrics.precision, recall=metrics.recall)
         )
@@ -219,6 +281,41 @@ def random_sweep_inputs(rng):
         for _ in range(int(rng.integers(0, 20)))
     ]
     return scored, gs, ThresholdSweep(thresholds=taus)
+
+
+def random_eval_inputs(rng, trial):
+    """``random_sweep_inputs`` as a labelled prediction: every tenth gold
+    list is empty and every tenth doubled, and about half the gold
+    annotations name a concept, so unlabelled ones of every gold label
+    remain."""
+    scored, gs, _ = random_sweep_inputs(rng)
+    predicted = [(s.mention, bool(rng.random() < 0.6)) for s in scored]
+    gs = [
+        replace(g, concept_id=f"C{int(rng.integers(3))}") if rng.random() < 0.5 else g
+        for g in gs
+    ]
+    if trial % 10 == 0:
+        gs = []
+    elif trial % 10 == 1:
+        gs = gs + gs
+    return predicted, gs
+
+
+class TestAgainstReferences:
+    def test_match_to_gold_equals_reference(self):
+        rng = np.random.default_rng(102)
+        for trial in range(300):
+            predicted, gs = random_eval_inputs(rng, trial)
+            assert match_to_gold(predicted, gs) == reference_match_to_gold(predicted, gs)
+
+    def test_per_concept_metrics_equals_reference(self):
+        lexicon = flat_lexicon(["C0", "C1", "C2"])
+        rng = np.random.default_rng(103)
+        for trial in range(300):
+            predicted, gs = random_eval_inputs(rng, trial)
+            assert per_concept_metrics(predicted, gs, lexicon) == (
+                reference_per_concept_metrics(predicted, gs, lexicon)
+            )
 
 
 class TestPRSweep:
@@ -372,3 +469,24 @@ class TestGoldIO:
         message = f"gold.jsonl: line 1: {key} must be an integer, got {value!r}"
         with pytest.raises(GoldError, match=re.escape(message)):
             load_gold(path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("doc_id", 7), ("doc_id", None), ("concept_id", ["C1"]),
+                       ("concept_id", 3)]
+    )
+    def test_ids_must_be_json_strings(self, tmp_path, key, value):
+        path = tmp_path / "gold.jsonl"
+        record = {"doc_id": "a", "start": 3, "end": 9, "label": "NLP_TRUE", key: value}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        message = f"gold.jsonl: line 1: {key} must be a string, got {value!r}"
+        with pytest.raises(GoldError, match=re.escape(message)):
+            load_gold(path)
+
+    def test_concept_id_may_be_null_or_absent(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        path.write_text(
+            '{"doc_id": "a", "start": 0, "end": 4, "label": "NLP_TRUE", "concept_id": null}\n'
+            '{"doc_id": "a", "start": 5, "end": 9, "label": "Manual_ACEs"}\n',
+            encoding="utf-8",
+        )
+        assert [g.concept_id for g in load_gold(path)] == [None, None]

@@ -323,6 +323,27 @@ def test_cached_label_files_must_be_the_sweeps(tmp_path):
     assert len((tmp_path / "out" / "pr_raw.csv").read_text(encoding="utf-8").splitlines()) == 4
 
 
+def test_cached_label_files_must_all_be_there(tmp_path, capsys):
+    config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
+    run_pipeline(load_config(config_path))
+    labels = tmp_path / "out" / "labels_raw"
+    kept = (labels / "threshold_0.5.csv").read_bytes()
+    message = (
+        "stage score: cached labels_raw does not hold the label files of the "
+        "sweep; rerun without --stage"
+    )
+    argv = ["run", "--config", str(config_path), "--stage", "eval"]
+    (labels / "threshold_0.5.csv").unlink()
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    (labels / "threshold_0.5.csv").write_bytes(kept)
+    (labels / "threshold_0.33.csv").write_bytes(kept)
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    (labels / "threshold_0.33.csv").unlink()
+    assert_stage_eval_is_fresh(config_path)
+
+
 # One changed input or setting each: (file, text in it, replacement, flags).
 CHANGED_SETUPS = {
     "epochs": (None, None, None, ["--epochs", "1"]),
