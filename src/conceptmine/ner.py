@@ -11,18 +11,21 @@ same loop finds vocabulary terms and negation cues. Term overlaps
 resolve longest-span-first, then earliest-start-first. Filter rules flag
 mentions (negation cue within a token window in the same sentence, or a
 stop-listed surface; NegEx, Chapman et al. 2001) without deleting them.
-Documents are processed one after another on one thread.
+Documents are independent, so ``find_corpus_mentions`` splits them into
+contiguous chunks, one per forked worker process.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, replace
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, Sequence
 
 from .ingest import Corpus, Document, read_records, write_records
 from .lexicon import ConceptId, Vocabulary
@@ -134,11 +137,19 @@ def _resolve_overlaps(
     candidates: list[tuple[int, int, tuple[ConceptId, ...]]]
 ) -> list[tuple[int, int, tuple[ConceptId, ...]]]:
     ordered = sorted(candidates, key=lambda c: (c[0] - c[1], c[0]))
+    # Accepted spans never overlap, so sorted by start they are sorted by
+    # end too: only the last one starting at or before a candidate and the
+    # first one starting after it can overlap the candidate.
     accepted: list[tuple[int, int, tuple[ConceptId, ...]]] = []
+    accepted_starts: list[int] = []
     for start, end, concepts in ordered:
-        if all(end <= a_start or start >= a_end for a_start, a_end, _ in accepted):
-            accepted.append((start, end, concepts))
-    accepted.sort()
+        i = bisect_right(accepted_starts, start)
+        if (i and accepted[i - 1][1] > start) or (
+            i < len(accepted) and accepted_starts[i] < end
+        ):
+            continue
+        accepted.insert(i, (start, end, concepts))
+        accepted_starts.insert(i, start)
     return accepted
 
 
@@ -217,16 +228,114 @@ def find_corpus_mentions(
     threads: int = 1,
 ) -> list[Mention]:
     """Match and filter every document, in canonical (doc_id, start,
-    concept_id) order, tokenizing each once for both. ``threads`` is
-    accepted and changes nothing: NER runs on one thread."""
+    concept_id) order, tokenizing each once for both.
+
+    The documents are split into ``workers`` contiguous chunks of about
+    equal characters, ``workers = min(threads, documents, CPUs)``, or 1
+    where ``os.fork`` is missing. This process finds the first chunk's
+    mentions while a forked child finds each other chunk's and sends them
+    back pickled over a pipe; one worker forks nothing. An exception in a
+    child is raised here with its type and message. Every child has been
+    waited for when this returns or raises. Children run no numpy code, so
+    forking a process that holds numpy's idle BLAS threads is safe.
+    """
     rules = rules or FilterRules()
+    docs = corpus.docs
+    workers = min(threads, len(docs), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    bounds = _chunk_bounds([len(doc.text) for doc in docs], max(workers, 1))
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child: send the chunk's result and leave
+                status = 1
+                try:
+                    os.close(read_fd)
+                    for _, reader in children:
+                        reader.close()
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(_chunk_payload(docs[lo:hi], vocab, rules))
+                    status = 0
+                finally:
+                    # No inherited buffer is flushed, no parent cleanup runs.
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        mentions = _chunk_mentions(docs[: bounds[1]], vocab, rules)
+        for _, reader in children:
+            mentions += _receive(reader)
+    finally:
+        # Read ends first: a child still writing then fails with
+        # BrokenPipeError and exits, so no wait below blocks for good.
+        for _, reader in children:
+            reader.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+    mentions.sort(key=Mention.sort_key)
+    return mentions
+
+
+def _chunk_bounds(lengths: Sequence[int], workers: int) -> list[int]:
+    """Bounds ``0 = b[0] < b[1] < ... < b[workers] = len(lengths)`` of
+    ``workers`` contiguous chunks, for ``1 <= workers <= len(lengths)``
+    (or ``workers == 1``). ``b[k]`` is the first index whose prefix sum
+    of ``lengths`` reaches ``k / workers`` of the total, moved as little as
+    keeps every chunk non-empty, so no chunk sums to more than
+    ``ceil(total / workers) + max(lengths)``."""
+    prefix = list(accumulate(lengths, initial=0))
+    n, total = len(lengths), prefix[-1]
+    bounds = [0]
+    for k in range(1, workers):
+        first = bisect_left(prefix, -(-k * total // workers))
+        bounds.append(min(max(first, bounds[-1] + 1), n - workers + k))
+    bounds.append(n)
+    return bounds
+
+
+def _chunk_mentions(
+    docs: Sequence[Document], vocab: Vocabulary, rules: FilterRules
+) -> list[Mention]:
     mentions: list[Mention] = []
-    for doc in corpus.docs:
+    for doc in docs:
         starts, ends, folded = token_columns(doc.text)
         found = _match(doc, vocab, starts, ends, folded)
         mentions += _flag(found, doc, rules, starts, folded)
-    mentions.sort(key=Mention.sort_key)
     return mentions
+
+
+def _chunk_payload(
+    docs: Sequence[Document], vocab: Vocabulary, rules: FilterRules
+) -> bytes:
+    """A worker's result, pickled: its mentions as field tuples, or the
+    exception that stopped it (as a RuntimeError naming its type, if it
+    does not pickle)."""
+    result: object
+    try:
+        result = [_mention_values(m.__dict__) for m in _chunk_mentions(docs, vocab, rules)]
+    except Exception as exc:
+        result = exc
+    try:
+        return pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
+
+
+def _receive(reader: BinaryIO) -> list[Mention]:
+    """Inverse of :func:`_chunk_payload`: the mentions, or raise the
+    worker's exception."""
+    try:
+        result = pickle.load(reader)
+    except EOFError:
+        raise RuntimeError("an NER worker exited without sending its mentions") from None
+    if isinstance(result, BaseException):
+        raise result
+    return [Mention(*values) for values in result]
 
 
 def mention_record(m: Mention) -> dict[str, object]:

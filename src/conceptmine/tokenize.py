@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 # Maximal runs of letters, digits, or apostrophes; everything else splits.
-_TOKEN_RE = re.compile(r"(?:[^\W_]|')+")
+# Letter and digit runs are matched whole, so the engine branches once per
+# run and apostrophe rather than once per character.
+_TOKEN_RE = re.compile(r"(?:[^\W_]+|')+")
+# The same tokens as one capture group: ``split`` alternates gaps and tokens.
+_SPLIT_RE = re.compile(f"({_TOKEN_RE.pattern})")
 
 
 @dataclass(frozen=True)
@@ -28,12 +33,11 @@ def token_columns(text: str) -> tuple[list[int], list[int], list[str]]:
     """Start offsets, end offsets and case-folded texts of the tokens of
     ``text``: the per-document form of :func:`tokenize` that matching and
     filtering share."""
-    matches = list(_TOKEN_RE.finditer(text))
-    return (
-        [m.start() for m in matches],
-        [m.end() for m in matches],
-        [m.group().lower() for m in matches],
-    )
+    # parts = [gap, token, gap, ..., token, gap]; the running lengths are
+    # then start, end, start, ..., end, len(text).
+    parts = _SPLIT_RE.split(text)
+    offsets = list(accumulate(map(len, parts)))
+    return offsets[0:-1:2], offsets[1::2], list(map(str.lower, parts[1::2]))
 
 
 def fold_term_tokens(term: str) -> tuple[str, ...]:

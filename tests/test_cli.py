@@ -340,6 +340,33 @@ def test_cli_imports_only_stdlib_and_numpy(tmp_path):
     assert "concurrent" not in loaded
 
 
+def test_forked_ner_workers_print_nothing(small_setup, tmp_path):
+    # Text printed before the run waits in the stdout buffer when the NER
+    # workers fork; a worker that flushed its copy would print it again.
+    # Enough CPUs are reported that --threads 2 forks on any machine.
+    probe = (
+        "import os, sys; os.cpu_count = lambda: 4; print('before the run'); "
+        "from conceptmine.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    pythonpath = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    # Buffered, as a pipe is by default.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = pythonpath
+    stdouts = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "run", "--config", str(small_setup / "config.ini"),
+             "--output", str(tmp_path / f"out{threads}"), "--epochs", "5", "--threads", threads],
+            cwd=tmp_path, capture_output=True, text=True, check=True, env=env,
+        )
+        stdouts.append(proc.stdout)
+    assert stdouts[0] == stdouts[1]
+    assert stdouts[1].count("before the run") == 1
+    assert "pr_auc gap" in stdouts[1]
+
+
 def test_a_cached_rerun_loads_no_openssl(small_setup, tmp_path):
     # hashlib loads OpenSSL, megabytes of peak RSS that a cached rerun has
     # no use for. A fresh run trains with numpy.random, which imports

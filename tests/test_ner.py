@@ -1,9 +1,13 @@
+import os
+import re
+import signal
 from bisect import bisect_left, bisect_right
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from conceptmine import ner
 from conceptmine.ingest import Corpus, Document
 from conceptmine.lexicon import build_vocabulary, load_lexicon
 from conceptmine.ner import (
@@ -17,7 +21,7 @@ from conceptmine.ner import (
     read_mentions,
     write_mentions,
 )
-from conceptmine.tokenize import Token, fold_term_tokens, tokenize
+from conceptmine.tokenize import Token, fold_term_tokens, token_columns, tokenize
 
 from conftest import write_lexicon_csv
 
@@ -47,6 +51,30 @@ class TestTokenize:
         text = "I know that NOT having BPD is bad, right?"
         for token in tokenize(text):
             assert text[token.start : token.end] == token.text
+
+    def test_token_columns_equal_the_finditer_form_on_random_unicode(self):
+        rng = np.random.default_rng(3)
+        # ASCII and other letters and digits, the underscore and apostrophes
+        # on the token boundary, a combining mark, letters whose lower case
+        # is longer, punctuation, spaces and an emoji.
+        alphabet = list("aZ09_'\u2019 .,-\n\t") + list("éßİΣж٣十\u0301ﬁ—🙂")
+        texts = [""] + [
+            "".join(rng.choice(alphabet, size=int(rng.integers(1, 40))))
+            for _ in range(2000)
+        ]
+        for text in texts:
+            assert token_columns(text) == reference_token_columns(text), repr(text)
+
+
+def reference_token_columns(text):
+    """The tokenizer's former form: one regex branch per character, read
+    back match by match."""
+    matches = list(re.finditer(r"(?:[^\W_]|')+", text))
+    return (
+        [m.start() for m in matches],
+        [m.end() for m in matches],
+        [m.group().lower() for m in matches],
+    )
 
 
 NESTED_ROWS = [
@@ -244,6 +272,36 @@ class TestFindMentions:
         distinct = sorted({(s, e) for s, e, _ in spans})
         for (s1, e1), (s2, e2) in zip(distinct, distinct[1:]):
             assert e1 <= s2
+
+def reference_resolve_overlaps(candidates):
+    """The former overlap rule: each candidate, longest first, then
+    earliest, is tested against every accepted span."""
+    accepted = []
+    for start, end, concepts in sorted(candidates, key=lambda c: (c[0] - c[1], c[0])):
+        if all(end <= a_start or start >= a_end for a_start, a_end, _ in accepted):
+            accepted.append((start, end, concepts))
+    return sorted(accepted)
+
+
+class TestResolveOverlaps:
+    def test_equals_the_scan_over_all_accepted_spans(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            candidates = []
+            for k in range(int(rng.integers(0, 25))):
+                start = int(rng.integers(0, 40))
+                end = start + int(rng.integers(1, 8))
+                candidates.append((start, end, (f"C{k}",)))
+            assert ner._resolve_overlaps(candidates) == reference_resolve_overlaps(
+                candidates
+            ), candidates
+
+    def test_many_disjoint_candidates_all_survive(self):
+        # One document holding a one-token term 20k times: each candidate
+        # is tested against its two neighbours, not every accepted span.
+        candidates = [(6 * i, 6 * i + 5, ("C1",)) for i in range(20_000)]
+        assert ner._resolve_overlaps(candidates[::-1]) == candidates
+
 
 class TestFilterRules:
     def test_negation_within_window(self, tmp_path):
@@ -463,3 +521,187 @@ def test_mention_record_keys_are_the_mention_fields():
     for m in (plain, flagged):
         assert list(mention_record(m)) == names
         assert mention_from_record({**mention_record(m), "score": 0.5}) == m
+
+
+class TestChunkBounds:
+    @pytest.mark.parametrize(
+        "lengths, workers, bounds",
+        [
+            ([], 1, [0, 0]),
+            ([7], 1, [0, 1]),
+            ([5, 5, 5, 5], 2, [0, 2, 4]),
+            ([100, 1, 1, 1], 2, [0, 1, 4]),
+            ([1, 1, 1, 100], 2, [0, 3, 4]),
+            ([1, 1, 1, 100], 3, [0, 2, 3, 4]),
+            ([0, 0, 0], 3, [0, 1, 2, 3]),
+            ([1] * 10_000, 10_000, list(range(10_001))),
+        ],
+    )
+    def test_cases_by_inspection(self, lengths, workers, bounds):
+        assert ner._chunk_bounds(lengths, workers) == bounds
+
+    def test_chunks_are_contiguous_cover_once_and_balance_characters(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(1, 30))
+            lengths = [int(x) for x in rng.integers(0, 200, size=n)]
+            if rng.random() < 0.3:  # one document much longer than the rest
+                lengths[int(rng.integers(n))] = 10_000
+            workers = int(rng.integers(1, n + 1))
+            bounds = ner._chunk_bounds(lengths, workers)
+            assert len(bounds) == workers + 1
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+            limit = -(-sum(lengths) // workers) + max(lengths)
+            assert all(sum(lengths[lo:hi]) <= limit for lo, hi in zip(bounds, bounds[1:]))
+
+
+def spy_on_workers(monkeypatch):
+    """Record the worker count of each call and fork nothing: every call
+    gets one chunk, and a fork fails the test."""
+    seen = []
+    chunk_bounds = ner._chunk_bounds
+
+    def one_chunk(lengths, workers):
+        seen.append(workers)
+        return chunk_bounds(lengths, 1)
+
+    monkeypatch.setattr(ner, "_chunk_bounds", one_chunk)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    return seen
+
+
+class TestWorkerCount:
+    def test_threads_are_bounded_by_documents_and_cpus(self, monkeypatch, nested_vocab):
+        _, vocab = nested_vocab
+        seen = spy_on_workers(monkeypatch)
+        corpus = Corpus(tuple(Document(f"d{i}", "self harm") for i in range(5)))
+        for cpus, threads, workers in [
+            (3, 10_000, 3), (64, 10_000, 5), (64, 2, 2), (None, 10_000, 1), (64, 1, 1),
+        ]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert len(find_corpus_mentions(corpus, vocab, threads=threads)) == 5
+            assert seen.pop() == workers
+        assert find_corpus_mentions(Corpus(()), vocab, threads=10_000) == []
+        assert seen.pop() == 1
+
+    def test_one_worker_without_fork(self, monkeypatch, nested_vocab):
+        _, vocab = nested_vocab
+        seen = spy_on_workers(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.delattr(os, "fork")
+        corpus = Corpus(tuple(Document(f"d{i}", "self harm") for i in range(5)))
+        assert len(find_corpus_mentions(corpus, vocab, threads=4)) == 5
+        assert seen == [1]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def reference_corpus_mentions(corpus, vocab, rules):
+    return sorted(
+        (
+            m
+            for doc in corpus.docs
+            for m in apply_filter_rules(find_mentions(doc, vocab), doc, rules)
+        ),
+        key=Mention.sort_key,
+    )
+
+
+class TestForkedWorkers:
+    RULES = FilterRules(
+        negation_cues=("no", "never had"), stop_surfaces=frozenset({"mood"})
+    )
+
+    @pytest.fixture(autouse=True)
+    def many_cpus(self, monkeypatch):
+        # Enough CPUs that ``threads`` alone sets the worker count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def random_corpus(self, rng, words, n_docs):
+        docs = []
+        for i in range(n_docs):
+            size = int(rng.integers(0, 30))
+            if rng.random() < 0.2:  # skewed: a few documents far longer
+                size *= 40
+            picks = rng.integers(len(words), size=size)
+            docs.append(Document(f"doc{i:03d}", " ".join(words[int(k)] for k in picks)))
+        return Corpus(tuple(docs))
+
+    def test_equal_mentions_for_one_to_five_threads(self, nested_vocab):
+        lexicon, vocab = nested_vocab
+        words = list(lexicon.term_index) + ["no", "never", "had", "the", "today", "."]
+        rng = np.random.default_rng(23)
+        corpora = [Corpus(()), Corpus((Document("only", "no mood swings"),))]
+        corpora += [self.random_corpus(rng, words, int(rng.integers(2, 12))) for _ in range(12)]
+        for corpus in corpora:
+            expected = reference_corpus_mentions(corpus, vocab, self.RULES)
+            for threads in range(1, 6):
+                got = find_corpus_mentions(corpus, vocab, self.RULES, threads=threads)
+                assert got == expected, (threads, len(corpus))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [0, 3, 5])
+    def test_a_worker_exception_is_raised_here(self, monkeypatch, nested_vocab, failing):
+        _, vocab = nested_vocab
+        corpus = Corpus(tuple(Document(f"d{i}", "self harm " * 50) for i in range(6)))
+        match = ner._match
+
+        def failing_match(doc, *args):
+            if doc.doc_id == f"d{failing}":
+                raise ValueError(f"cannot match {doc.doc_id}")
+            return match(doc, *args)
+
+        monkeypatch.setattr(ner, "_match", failing_match)
+        with pytest.raises(ValueError, match=f"^cannot match d{failing}$") as info:
+            find_corpus_mentions(corpus, vocab, threads=3)
+        assert info.type is ValueError
+        assert_no_child_left()
+
+    def test_an_exception_that_does_not_pickle_keeps_its_message(self, monkeypatch, nested_vocab):
+        _, vocab = nested_vocab
+
+        class LocalError(Exception):
+            pass
+
+        match = ner._match
+
+        def failing_match(doc, *args):
+            if doc.doc_id == "d1":
+                raise LocalError(f"cannot match {doc.doc_id}")
+            return match(doc, *args)
+
+        monkeypatch.setattr(ner, "_match", failing_match)
+        corpus = Corpus((Document("d0", "self harm"), Document("d1", "self harm")))
+        with pytest.raises(RuntimeError, match="^LocalError: cannot match d1$"):
+            find_corpus_mentions(corpus, vocab, threads=2)
+        assert_no_child_left()
+
+    def test_a_worker_blocked_on_a_full_pipe_is_reaped(self, monkeypatch, nested_vocab):
+        # The second chunk's mentions pickle to far more than a pipe holds,
+        # and this process fails before it reads any of them.
+        _, vocab = nested_vocab
+        match = ner._match
+
+        def failing_match(doc, *args):
+            if doc.doc_id == "d0":
+                raise ValueError("cannot match d0")
+            return match(doc, *args)
+
+        def too_slow(*_):
+            raise TimeoutError("a worker was never reaped")
+
+        monkeypatch.setattr(ner, "_match", failing_match)
+        corpus = Corpus((Document("d0", "x " * 20_000), Document("d1", "self harm " * 20_000)))
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ValueError, match="^cannot match d0$"):
+                find_corpus_mentions(corpus, vocab, threads=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
