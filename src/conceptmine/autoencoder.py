@@ -111,17 +111,6 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def forward(model: AEModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Encode one vector and reconstruct it (decoder output is linear)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.input_dim:
-        raise ValueError(
-            f"input shape {x.shape} does not match input_dim {model.input_dim}"
-        )
-    encoded, reconstructed = forward_all(model, x[np.newaxis, :])
-    return encoded[0], reconstructed[0]
-
-
 def forward_all(model: AEModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched forward pass over rows of X."""
     X = np.asarray(X, dtype=np.float64)

@@ -12,9 +12,10 @@ a gold-true annotation has the identical (doc_id, start, end). Predicted
 spans are deduplicated, so several concepts on one span count once
 globally; this keeps tp + fn equal to the number of gold-true
 annotations. :func:`match_to_gold` and :func:`pr_sweep` count with one
-:func:`_counts_at`, so the sweep equals ``label_at_threshold`` plus
-:func:`match_to_gold` by construction; tests check both against
-set-based references.
+:func:`_counts_at`, and the sweep labels with
+:func:`selflabel.label_scores`, the rule the label files use, so each PR
+point equals :func:`match_to_gold` on that threshold's label file; tests
+check both against set-based references.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .ingest import Corpus, read_records, write_records
 from .lexicon import ConceptId, Lexicon
 from .ner import Mention
-from .selflabel import ScoredMention, ThresholdSweep
+from .selflabel import ScoredMention, ThresholdSweep, label_scores
 
 GOLD_LABELS = ("NLP_TRUE", "Not_ACEs", "Manual_ACEs")
 GOLD_TRUE_LABELS = frozenset({"NLP_TRUE", "Manual_ACEs"})
@@ -222,16 +223,14 @@ def pr_sweep(
     sweep: ThresholdSweep,
 ) -> list[PRPoint]:
     """One precision/recall point per threshold, in threshold order. A span
-    scores the highest of its unfiltered mentions; NaN is never positive.
-    Equal by construction to ``label_at_threshold`` plus :func:`match_to_gold`."""
+    is positive at tau iff one of its mentions is, by
+    :func:`selflabel.label_scores`; so it scores the highest label score
+    of its mentions."""
     best: dict[SpanKey, float] = {}
-    for s in scored:
-        m = s.mention
-        if m.filtered or math.isnan(s.score):
-            continue
-        key = (m.doc_id, m.start, m.end)
-        if key not in best or s.score > best[key]:
-            best[key] = s.score
+    for s, score in zip(scored, label_scores(scored).tolist()):
+        key = (s.mention.doc_id, s.mention.start, s.mention.end)
+        if score > best.get(key, -math.inf):
+            best[key] = score
     metrics = [compute_metrics(c) for c in _counts_at(best, gold, sweep.thresholds)]
     return [PRPoint(tau, m.precision, m.recall) for tau, m in zip(sweep.thresholds, metrics)]
 

@@ -98,8 +98,8 @@ def load_corpus(path: str | Path) -> Corpus:
     """Read a JSONL corpus into canonical order.
 
     Raises :class:`CorpusError` naming the file and the 1-based line for
-    malformed JSON, missing/non-string ``id``/``text`` fields and
-    duplicate doc ids.
+    malformed JSON, missing/non-string ``id``/``text`` fields, a doc id
+    holding a newline and duplicate doc ids.
     """
     docs: list[Document] = []
     seen: dict[str, int] = {}
@@ -108,6 +108,8 @@ def load_corpus(path: str | Path) -> Corpus:
         text = record.get("text")
         if not isinstance(doc_id, str) or not doc_id:
             raise CorpusError(f"{path}: line {line_no}: missing or non-string 'id'")
+        if "\n" in doc_id:
+            raise CorpusError(f"{path}: line {line_no}: doc id {doc_id!r} holds a newline")
         if not isinstance(text, str):
             raise CorpusError(f"{path}: line {line_no}: missing or non-string 'text'")
         if doc_id in seen:

@@ -262,14 +262,9 @@ class Vocabulary:
 
     terms: dict[tuple[str, ...], tuple[ConceptId, ...]]
     longest: dict[str, int]
-    n_terms: int
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def concepts_for_term(self, term: str) -> tuple[ConceptId, ...]:
-        """Concept ids reachable through one case-folded term, () if absent."""
-        return self.terms.get(fold_term_tokens(term), ())
 
 
 def build_vocabulary(lexicon: Lexicon, selected: set[ConceptId]) -> Vocabulary:
@@ -301,5 +296,4 @@ def build_vocabulary(lexicon: Lexicon, selected: set[ConceptId]) -> Vocabulary:
     return Vocabulary(
         terms={tokens: tuple(sorted(cids)) for tokens, cids in terms.items()},
         longest=longest,
-        n_terms=len(surfaces),
     )

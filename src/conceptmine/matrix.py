@@ -1,4 +1,4 @@
-"""Document-concept counts, concept co-occurrence, and cosine similarity.
+"""Document-concept counts, concept co-occurrence, and the files that hold them.
 
 The document-level matrix counts unfiltered mentions per (document,
 concept). Its concept columns cover exactly the concepts observed
@@ -16,7 +16,6 @@ nnz, naming the file and the entry.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,90 +184,15 @@ def build_cooc_matrix(X: DocConceptMatrix) -> CoocMatrix:
     return CoocMatrix(concept_ids=X.concept_ids, counts=counts)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two same-length vectors.
-
-    An all-zero input scores 0 by convention. Identical and exactly
-    opposite inputs short-circuit to +-1 so the boundary cases are exact.
-    Everything else first divides each vector by its max-abs entry, as in
-    the scaled ``dnrm2`` (Blue 1978), so squaring neither underflows nor
-    overflows at extreme magnitudes; the result is the scaled dot product
-    over the square root of the scaled squared-norm product, clamped to
-    [-1, 1].
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    scale_a = float(np.max(np.abs(a), initial=0.0))
-    scale_b = float(np.max(np.abs(b), initial=0.0))
-    if scale_a == 0.0 or scale_b == 0.0:
-        return 0.0
-    if np.array_equal(a, b):
-        return 1.0
-    if np.array_equal(a, -b):
-        return -1.0
-    a = a / scale_a
-    b = b / scale_b
-    value = float(np.dot(a, b)) / math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
-    return max(-1.0, min(1.0, value))
-
-
-def concept_embedding(
-    C: CoocMatrix, i: int, normalized: bool = False
-) -> np.ndarray:
-    """Row i of the co-occurrence matrix as a dense float vector,
-    optionally scaled to unit L2 norm (zero rows pass through)."""
-    if not 0 <= i < C.m_concepts:
-        raise ValueError(f"concept index {i} out of range [0, {C.m_concepts})")
-    lo, hi = C.counts.indptr[i], C.counts.indptr[i + 1]
-    row = np.zeros(C.m_concepts, dtype=np.float64)
-    row[C.counts.indices[lo:hi]] = C.counts.data[lo:hi]
-    if normalized:
-        norm = float(np.linalg.norm(row))
-        if norm > 0.0:
-            row = row / norm
-    return row
-
-
 def concept_embeddings(C: CoocMatrix, normalized: bool = False) -> np.ndarray:
-    """All co-occurrence rows as a dense (m, m) float array."""
+    """All co-occurrence rows as a dense (m, m) float array; row i is the
+    raw embedding of concept i, optionally scaled to unit L2 norm (zero
+    rows pass through)."""
     dense = C.counts.toarray().astype(np.float64)
     if normalized and dense.size:
         norms = np.linalg.norm(dense, axis=1, keepdims=True)
         dense = np.divide(dense, norms, out=dense.copy(), where=norms > 0)
     return dense
-
-
-def document_context_vector(
-    X: DocConceptMatrix,
-    embeddings: np.ndarray,
-    doc: int,
-    exclude: int | None = None,
-) -> np.ndarray:
-    """Count-weighted sum of the embeddings of the concepts in one
-    document, optionally leaving one concept out; zero vector when the
-    document contributes nothing."""
-    if not 0 <= doc < X.n_docs:
-        raise ValueError(f"doc index {doc} out of range [0, {X.n_docs})")
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2 or embeddings.shape[0] != X.m_concepts:
-        raise ValueError(
-            f"embeddings shape {embeddings.shape} does not cover "
-            f"{X.m_concepts} concepts"
-        )
-    if exclude is not None and not 0 <= exclude < X.m_concepts:
-        raise ValueError(f"exclude index {exclude} out of range [0, {X.m_concepts})")
-    lo, hi = X.counts.indptr[doc], X.counts.indptr[doc + 1]
-    indices = X.counts.indices[lo:hi]
-    weights = X.counts.data[lo:hi].astype(np.float64)
-    if exclude is not None:
-        keep = indices != exclude
-        indices = indices[keep]
-        weights = weights[keep]
-    if len(indices) == 0:
-        return np.zeros(embeddings.shape[1], dtype=np.float64)
-    return weights @ embeddings[indices]
 
 
 def write_sparse_matrix(matrix: DocConceptMatrix | CoocMatrix, path: str | Path) -> None:
@@ -313,10 +237,13 @@ def read_sparse_counts(path: str | Path) -> CSRCounts:
 
 
 def write_id_file(ids: Sequence[str], path: str | Path) -> None:
-    Path(path).write_text("".join(f"{i}\n" for i in ids), encoding="utf-8")
+    """One id per line, each ended by a newline, which no id may hold."""
+    Path(path).write_text("".join(f"{i}\n" for i in ids), encoding="utf-8", newline="")
 
 
 def read_id_file(path: str | Path) -> tuple[str, ...]:
-    return tuple(
-        line for line in Path(path).read_text(encoding="utf-8").splitlines() if line
-    )
+    """The ids of :func:`write_id_file`. Only a newline ends a line, so an
+    id keeps every other line-break character, such as a carriage return
+    or U+2028."""
+    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+        return tuple(line for line in handle.read().split("\n") if line)

@@ -11,8 +11,11 @@ are accumulated position by position along the documents' CSR rows: at
 position p every mention whose concept is not the one stored at p adds
 ``count[p] * embedding[concept at p]``. The self term is skipped, never
 subtracted from the row total, so a document holding only the mention's
-own concept gives an exactly zero context. The cosine is then taken row
-by row with the conventions of :func:`matrix.cosine_similarity`.
+own concept gives an exactly zero context. :func:`_rowwise_cosine`, the
+package's one cosine, then scores each mention against its context.
+
+:func:`label_scores` holds the one label rule, which the label files and
+:func:`evaluate.pr_sweep` share.
 
 Label files are formatted once for a whole sweep: the rows are sorted
 once, each row's csv prefix ``doc_id,start,end,concept_id,score,`` is
@@ -145,9 +148,12 @@ def score_mentions(
 
 
 def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`matrix.cosine_similarity` of each row pair: 0 when either
-    row is all zero, exactly +-1 for equal and opposite rows, otherwise
-    the max-abs-scaled cosine clamped to [-1, 1]."""
+    """Cosine of each row pair of two (n, d) arrays: 0 when either row is
+    all zero, exactly +1 and -1 for equal and opposite rows. Other pairs
+    first divide each row by its max-abs entry, as the scaled ``dnrm2``
+    does (Blue 1978), so squaring neither underflows nor overflows; the
+    scaled dot product over the root of the scaled norms' product is then
+    clamped to [-1, 1]."""
     equal = np.all(a == b, axis=1)
     opposite = np.all(a == -b, axis=1)
     scale_a = np.max(np.abs(a), axis=1, initial=0.0)
@@ -166,15 +172,16 @@ def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return value
 
 
-def label_at_threshold(
-    scored: Sequence[ScoredMention], tau: float
-) -> list[tuple[Mention, bool]]:
-    """Positive iff score >= tau and the mention is unfiltered."""
-    if not -1.0 <= tau <= 1.0:
-        raise ValueError(f"threshold {tau} outside [-1, 1]")
-    return [
-        (s.mention, (not s.mention.filtered) and s.score >= tau) for s in scored
-    ]
+def label_scores(scored: Sequence[ScoredMention]) -> np.ndarray:
+    """The label rule: mention k is positive at threshold tau iff
+    ``label_scores(scored)[k] >= tau``. The value is the mention's score
+    when it is unfiltered, and -inf, positive at no threshold, when it is
+    filtered or its score is NaN."""
+    values = np.array(
+        [-np.inf if s.mention.filtered else s.score for s in scored], dtype=np.float64
+    )
+    values[np.isnan(values)] = -np.inf
+    return values
 
 
 def write_scored(scored: Sequence[ScoredMention], path: str | Path) -> None:
@@ -225,7 +232,8 @@ def write_label_files(
 
 class _LabelRows:
     """Mentions in sort-key order, each formatted once as its
-    ``(false line, true line)`` pair with the csv module's quoting."""
+    ``(false line, true line)`` pair with the csv module's quoting, and
+    their :func:`label_scores`."""
 
     def __init__(self, scored: Sequence[ScoredMention]) -> None:
         ordered = sorted(scored, key=lambda s: s.mention.sort_key())
@@ -238,12 +246,11 @@ class _LabelRows:
         self.pairs = [
             (line[:-2] + "false\r\n", line[:-2] + "true\r\n") for line in lines
         ]
-        self.scores = np.array([s.score for s in ordered], dtype=np.float64)
-        self.unfiltered = np.array([not s.mention.filtered for s in ordered], dtype=bool)
+        self.label_scores = label_scores(ordered)
 
 
 def _write_label_file(rows: _LabelRows, tau: float, path: Path) -> None:
-    positive = (rows.unfiltered & (rows.scores >= tau)).tolist()
+    positive = (rows.label_scores >= tau).tolist()
     with path.open("w", encoding="utf-8", newline="") as handle:
         handle.write(_LABEL_HEADER)
         handle.writelines(map(getitem, rows.pairs, positive))

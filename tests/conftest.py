@@ -34,6 +34,23 @@ def flat_lexicon(concept_ids: list[str]) -> Lexicon:
     )
 
 
+def reference_document_context_vector(X, embeddings, doc, exclude=None):
+    """Count-weighted sum of the embeddings of the concepts in one
+    document, optionally leaving one concept out; zero vector when the
+    document contributes nothing. The context ``score_mentions`` builds
+    for a mention of concept ``exclude`` in document ``doc``."""
+    lo, hi = X.counts.indptr[doc], X.counts.indptr[doc + 1]
+    indices = X.counts.indices[lo:hi]
+    weights = X.counts.data[lo:hi].astype(np.float64)
+    if exclude is not None:
+        keep = indices != exclude
+        indices = indices[keep]
+        weights = weights[keep]
+    if len(indices) == 0:
+        return np.zeros(embeddings.shape[1], dtype=np.float64)
+    return weights @ embeddings[indices]
+
+
 def csr_from_dense(dense) -> CSRCounts:
     """CSR counts holding the nonzero entries of a dense integer array."""
     dense = np.asarray(dense, dtype=np.int64)

@@ -2,6 +2,7 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
 import contextlib
+import csv
 import dataclasses
 import math
 import os
@@ -24,18 +25,25 @@ from conceptmine.evaluate import (
     ConfusionCounts,
     GoldAnnotation,
     compute_metrics,
-    match_to_gold,
+    pr_sweep,
 )
 from conceptmine.ingest import Corpus, Document
 from conceptmine.lexicon import build_vocabulary, load_lexicon
 from conceptmine.matrix import (
+    CSRCounts,
+    DocConceptMatrix,
     build_cooc_matrix,
     build_doc_concept_matrix,
-    cosine_similarity,
 )
 from conceptmine.ner import Mention, find_mentions
 from conceptmine.pipeline import run_pipeline
-from conceptmine.selflabel import ScoredMention, ThresholdSweep, label_at_threshold
+from conceptmine.selflabel import (
+    ScoredMention,
+    ThresholdSweep,
+    label_file_name,
+    score_mentions,
+    write_label_files,
+)
 
 from conftest import DATA_DIR, REPO_ROOT, flat_lexicon, write_lexicon_csv
 
@@ -112,6 +120,21 @@ def test_criterion_2_matrix_oracle_equivalence():
 
 
 def test_criterion_3_cosine_formula_fidelity():
+    # One document holding concepts A and B once each: the context of a
+    # mention of A is exactly B's embedding, so its score is cos(a, b).
+    X = DocConceptMatrix(
+        doc_ids=("d",),
+        concept_ids=("A", "B"),
+        counts=CSRCounts(
+            indptr=np.array([0, 2]), indices=np.array([0, 1]),
+            data=np.array([1, 1]), shape=(1, 2),
+        ),
+    )
+    mention = Mention(doc_id="d", concept_id="A", start=0, end=1, surface="x")
+
+    def score(a, b):
+        return score_mentions([mention], X, np.vstack([a, b]))[0].score
+
     with criterion(3, "cosine similarity fidelity"):
         rng = np.random.default_rng(2003)
         for trial in range(1000):
@@ -123,12 +146,15 @@ def test_criterion_3_cosine_formula_fidelity():
             nb = math.sqrt(math.fsum(float(y) ** 2 for y in b))
             expected = 0.0 if na == 0.0 or nb == 0.0 else dot / (na * nb)
             expected = max(-1.0, min(1.0, expected))
-            assert cosine_similarity(a, b) == pytest.approx(expected, abs=1e-12)
+            assert score(a, b) == pytest.approx(expected, abs=1e-12)
         # Boundary interpretations are exact.
         v = np.array([0.3, -1.7, 2.9])
-        assert cosine_similarity(v, v) == 1.0
-        assert cosine_similarity(v, -v) == -1.0
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert score(v, v) == 1.0
+        assert score(v, -v) == -1.0
+        assert score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        # Parallel inputs stay exact at extreme magnitudes.
+        for a, b in (([8.96e-155], [1.0]), ([1e-200], [1.0]), ([1e200, 1e200], [1.0, 1.0])):
+            assert score(np.array(a), np.array(b)) == 1.0
 
 
 def _oracle_loss(model, X):
@@ -270,7 +296,7 @@ def test_criterion_7_ner_golden_passage(tmp_path):
                 assert m.end <= outer.start or m.start >= outer.end
 
 
-def test_criterion_8_threshold_monotonicity():
+def test_criterion_8_threshold_monotonicity(tmp_path):
     with criterion(8, "threshold monotonicity"):
         rng = np.random.default_rng(2008)
         for trial in range(100):
@@ -296,26 +322,30 @@ def test_criterion_8_threshold_monotonicity():
                         )
                     )
             sweep = ThresholdSweep()
+            # Labels as the run writes them, recall as the run sweeps it.
+            write_label_files(scored, sweep, tmp_path)
+            points = pr_sweep(scored, gold, sweep)
             previous_positive = None
             previous_recall = None
-            for tau in sweep.thresholds:
-                labeled = label_at_threshold(scored, tau)
-                positives = {
-                    (m.doc_id, m.start, m.end, m.concept_id)
-                    for m, lab in labeled if lab
-                }
+            for tau, point in zip(sweep.thresholds, points):
+                path = tmp_path / label_file_name(tau)
+                with path.open(encoding="utf-8", newline="") as handle:
+                    positives = {
+                        (row["doc_id"], int(row["start"]), int(row["end"]),
+                         row["concept_id"])
+                        for row in csv.DictReader(handle) if row["label"] == "true"
+                    }
                 assert not any(
                     s.mention.filtered
                     and (s.mention.doc_id, s.mention.start, s.mention.end,
                          s.mention.concept_id) in positives
                     for s in scored
                 )
-                metrics = compute_metrics(match_to_gold(labeled, gold))
                 if previous_positive is not None:
                     assert positives <= previous_positive
-                    assert metrics.recall <= previous_recall + 1e-15
+                    assert point.recall <= previous_recall + 1e-15
                 previous_positive = positives
-                previous_recall = metrics.recall
+                previous_recall = point.recall
 
 
 def _run_cli(args, cwd):

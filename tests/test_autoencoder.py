@@ -11,7 +11,6 @@ from conceptmine.autoencoder import (
     AEModel,
     TrainingDiverged,
     encode_all,
-    forward,
     forward_all,
     init_model,
     load_model,
@@ -20,7 +19,12 @@ from conceptmine.autoencoder import (
     train,
 )
 from conceptmine.ingest import Corpus, Document
-from conceptmine.matrix import CoocMatrix, build_cooc_matrix, build_doc_concept_matrix
+from conceptmine.matrix import (
+    CoocMatrix,
+    build_cooc_matrix,
+    build_doc_concept_matrix,
+    concept_embeddings,
+)
 from conceptmine.ner import Mention
 
 from conftest import csr_from_dense, flat_lexicon
@@ -85,6 +89,12 @@ class TestInitModel:
         assert np.abs(model.W_dec).max() <= bound
         assert not model.b_enc.any()
         assert not model.b_dec.any()
+
+
+def forward(model, x):
+    """:func:`forward_all` on a one-row batch."""
+    encoded, reconstructed = forward_all(model, np.array([x], dtype=np.float64))
+    return encoded[0], reconstructed[0]
 
 
 class TestForward:
@@ -260,11 +270,8 @@ class TestEncodeAll:
         C = small_cooc()
         m = C.m_concepts
         model = init_model(AEConfig(input_dim=m, encoded_dim=2, seed=1))
-        from conceptmine.matrix import concept_embedding
-
         encoded = encode_all(model, C, normalized=True)
-        for i in range(m):
-            row = concept_embedding(C, i, normalized=True)
+        for i, row in enumerate(concept_embeddings(C, normalized=True)):
             assert encoded[i] == pytest.approx(forward(model, row)[0].tolist())
 
     def test_dim_mismatch(self):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -183,6 +184,36 @@ class TestLoadConfig:
             f"[{s}] {o}" for s, o in _OPTIONS if f"`{o}`" not in bullets.get(f"[{s}]", "")
         ]
         assert missing == []
+
+    def test_every_public_name_has_a_caller(self):
+        """``src/`` holds only what a run runs: each public top-level
+        function or class, and each public method, is named by code in the
+        package or the benchmark. Docstrings and tests do not count."""
+        package = sorted((REPO_ROOT / "src" / "conceptmine").glob("*.py"))
+        bench = sorted((REPO_ROOT / "pipebench").glob("*.py"))
+        trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package + bench}
+        used = set()
+        for node in (node for tree in trees.values() for node in ast.walk(tree)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update((node.name, node.asname))
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        unused = []
+        for path in package:
+            for node in (n for n in trees[path].body if isinstance(n, defs)):
+                members = node.body if isinstance(node, ast.ClassDef) else []
+                named = [(node.name, node.name)] + [
+                    (f"{node.name}.{m.name}", m.name) for m in members if isinstance(m, defs)
+                ]
+                unused += [
+                    f"{path.stem}.{qualified}" for qualified, name in named
+                    if not name.startswith("_") and name not in used
+                ]
+        assert unused == []
+
 
 class TestCommands:
     def test_lexicon_summary(self, small_setup, capsys):

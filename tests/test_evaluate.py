@@ -23,7 +23,7 @@ from conceptmine.evaluate import (
 )
 from conceptmine.ingest import Corpus, Document
 from conceptmine.ner import Mention
-from conceptmine.selflabel import ScoredMention, ThresholdSweep, label_at_threshold
+from conceptmine.selflabel import ScoredMention, ThresholdSweep
 
 from conftest import flat_lexicon
 
@@ -245,11 +245,16 @@ def reference_per_concept_metrics(predicted, gold, lexicon):
     return result
 
 
+def reference_label_at_threshold(scored, tau):
+    """Positive iff the mention is unfiltered and its score is >= tau."""
+    return [(s.mention, (not s.mention.filtered) and s.score >= tau) for s in scored]
+
+
 def reference_pr_sweep(scored, gold, sweep):
     """Label and match at every threshold separately."""
     points = []
     for tau in sweep.thresholds:
-        labeled = label_at_threshold(scored, tau)
+        labeled = reference_label_at_threshold(scored, tau)
         metrics = compute_metrics(reference_match_to_gold(labeled, gold))
         points.append(
             PRPoint(threshold=tau, precision=metrics.precision, recall=metrics.recall)

@@ -46,6 +46,16 @@ def test_duplicate_id_is_error(tmp_path):
         load_corpus(path)
 
 
+def test_doc_id_with_newline_is_error(tmp_path):
+    # doc_order.txt holds one id per line, so no id can carry a newline.
+    path = write_jsonl(
+        tmp_path / "bad.jsonl",
+        [{"id": "a", "text": "one"}, {"id": "b\nc", "text": "two"}],
+    )
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: line 2: doc id 'b\\nc'")):
+        load_corpus(path)
+
+
 def test_malformed_line_reports_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "text": "ok"}\n{not json\n', encoding="utf-8")

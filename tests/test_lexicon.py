@@ -210,7 +210,7 @@ class TestBuildVocabulary:
         lexicon = load_lexicon(path)
         vocab = build_vocabulary(lexicon, {"C0", "C1"})
         assert len(vocab) == 3
-        assert vocab.n_terms == 3
+        assert lexicon.n_terms() == 3
         assert vocab.longest == {"abuse": 3, "adverse": 2, "child": 2}
 
     def test_shared_term_maps_to_both_concepts(self, tmp_path):
@@ -225,7 +225,7 @@ class TestBuildVocabulary:
         )
         lexicon = load_lexicon(path)
         vocab = build_vocabulary(lexicon, {"C1", "C2"})
-        assert vocab.concepts_for_term("Depression") == ("C1", "C2")
+        assert vocab.terms[("depression",)] == ("C1", "C2")
 
     def test_empty_selection_is_error(self, tmp_path):
         lexicon = load_lexicon(make_chain(tmp_path))
@@ -236,5 +236,4 @@ class TestBuildVocabulary:
         lexicon = load_lexicon(make_chain(tmp_path))
         vocab = build_vocabulary(lexicon, {"C2"})
         assert len(vocab) == 1
-        assert vocab.concepts_for_term("leaf term") == ("C2",)
-        assert vocab.concepts_for_term("root term") == ()
+        assert vocab.terms == {("leaf", "term"): ("C2",)}

@@ -12,18 +12,16 @@ from conceptmine.matrix import (
     MatrixError,
     build_cooc_matrix,
     build_doc_concept_matrix,
-    concept_embedding,
     concept_embeddings,
-    cosine_similarity,
-    document_context_vector,
     read_id_file,
     read_sparse_counts,
     write_id_file,
     write_sparse_matrix,
 )
 from conceptmine.ner import Mention
+from conceptmine.selflabel import _rowwise_cosine
 
-from conftest import csr_from_dense, flat_lexicon
+from conftest import csr_from_dense, flat_lexicon, reference_document_context_vector
 
 
 def make_corpus(n):
@@ -198,34 +196,36 @@ def cosine_oracle(a, b):
     return dot / (na * nb)
 
 
+def scoring_cosine(a, b):
+    """The scoring cosine, :func:`selflabel._rowwise_cosine`, of one pair."""
+    rows = np.array([a, b], dtype=np.float64)
+    return float(_rowwise_cosine(rows[:1], rows[1:])[0])
+
+
 class TestCosineSimilarity:
     def test_identical_vectors(self):
-        assert cosine_similarity(np.array([1.0, 2, 3]), np.array([1.0, 2, 3])) == 1.0
+        assert scoring_cosine(np.array([1.0, 2, 3]), np.array([1.0, 2, 3])) == 1.0
 
     def test_orthogonal_vectors(self):
-        assert cosine_similarity(np.array([1.0, 0]), np.array([0.0, 1])) == 0.0
+        assert scoring_cosine(np.array([1.0, 0]), np.array([0.0, 1])) == 0.0
 
     def test_opposite_vectors(self):
-        assert cosine_similarity(np.array([2.0, -1]), np.array([-2.0, 1])) == -1.0
+        assert scoring_cosine(np.array([2.0, -1]), np.array([-2.0, 1])) == -1.0
 
     def test_known_value(self):
-        got = cosine_similarity(np.array([1.0, 1]), np.array([1.0, 0]))
+        got = scoring_cosine(np.array([1.0, 1]), np.array([1.0, 0]))
         assert got == pytest.approx(0.7071067811865475, abs=1e-12)
 
     def test_zero_norm_convention(self):
-        assert cosine_similarity(np.zeros(3), np.array([1.0, 2, 3])) == 0.0
-        assert cosine_similarity(np.zeros(3), np.zeros(3)) == 0.0
+        assert scoring_cosine(np.zeros(3), np.array([1.0, 2, 3])) == 0.0
+        assert scoring_cosine(np.zeros(3), np.zeros(3)) == 0.0
 
     @pytest.mark.parametrize(
         "a, b",
         [([8.96e-155], [1.0]), ([1e-200], [1.0]), ([1e200, 1e200], [1.0, 1.0])],
     )
     def test_parallel_at_extreme_magnitudes(self, a, b):
-        assert cosine_similarity(np.array(a), np.array(b)) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            cosine_similarity(np.ones(2), np.ones(3))
+        assert scoring_cosine(np.array(a), np.array(b)) == 1.0
 
     def test_matches_direct_formula_on_random_pairs(self):
         rng = np.random.default_rng(24)
@@ -233,7 +233,7 @@ class TestCosineSimilarity:
             d = int(rng.integers(1, 12))
             a = rng.normal(size=d) * 10.0 ** int(rng.integers(-3, 4))
             b = rng.normal(size=d) * 10.0 ** int(rng.integers(-3, 4))
-            assert cosine_similarity(a, b) == pytest.approx(
+            assert scoring_cosine(a, b) == pytest.approx(
                 cosine_oracle(a, b), abs=1e-12
             )
 
@@ -256,13 +256,13 @@ class TestCosineSimilarity:
         d = min(len(xs), len(ys))
         a = np.array(xs[:d])
         b = np.array(ys[:d])
-        value = cosine_similarity(a, b)
+        value = scoring_cosine(a, b)
         assert -1.0 <= value <= 1.0
         # alpha * a is a positive multiple of a only while no nonzero entry
         # rounds into the subnormal range or to zero.
         scaled = alpha * a
         assume(not np.any((a != 0) & (np.abs(scaled) < np.finfo(np.float64).tiny)))
-        assert cosine_similarity(scaled, b) == pytest.approx(value, abs=1e-12)
+        assert scoring_cosine(scaled, b) == pytest.approx(value, abs=1e-12)
 
 
 class TestEmbeddings:
@@ -279,41 +279,37 @@ class TestEmbeddings:
 
     def test_row_read_off(self):
         _, C = self._cooc()
-        assert concept_embedding(C, 0).tolist() == [2.0, 1.0]
+        assert concept_embeddings(C)[0].tolist() == [2.0, 1.0]
 
     def test_normalized_three_four_five(self):
         _, C = self._cooc()
         row = np.array([3.0, 4.0])
         norm = row / np.linalg.norm(row)
         assert np.allclose(norm, [0.6, 0.8])
-        got = concept_embedding(C, 0, normalized=True)
+        got = concept_embeddings(C, normalized=True)[0]
         assert got == pytest.approx(
             (np.array([2.0, 1.0]) / math.sqrt(5.0)).tolist()
         )
 
-    def test_out_of_range(self):
-        _, C = self._cooc()
-        with pytest.raises(ValueError, match="out of range"):
-            concept_embedding(C, 2)
-
     def test_embeddings_matrix_matches_rows(self):
         _, C = self._cooc()
+        raw = concept_embeddings(C)
         dense = concept_embeddings(C, normalized=True)
         for i in range(C.m_concepts):
-            assert dense[i] == pytest.approx(
-                concept_embedding(C, i, normalized=True)
-            )
+            assert dense[i] == pytest.approx(raw[i] / np.linalg.norm(raw[i]))
 
     def test_zero_row_returned_unchanged(self):
         # A zero row can only come from a padded index; the normalized
         # flag must be a no-op on it.
         counts = csr_from_dense([[2, 0, 0], [0, 0, 0], [0, 0, 1]])
         C = CoocMatrix(concept_ids=("A", "B", "C"), counts=counts)
-        assert concept_embedding(C, 1).tolist() == [0.0, 0.0, 0.0]
-        assert concept_embedding(C, 1, normalized=True).tolist() == [0.0, 0.0, 0.0]
+        assert concept_embeddings(C)[1].tolist() == [0.0, 0.0, 0.0]
+        assert concept_embeddings(C, normalized=True)[1].tolist() == [0.0, 0.0, 0.0]
 
 
 class TestDocumentContextVector:
+    """The context oracle ``test_selflabel`` checks ``score_mentions`` with."""
+
     def test_leave_one_out_empties_context(self):
         corpus = make_corpus(1)
         lexicon = flat_lexicon(["C1"])
@@ -321,7 +317,7 @@ class TestDocumentContextVector:
             corpus, [make_mention("d000", "C1")], lexicon
         )
         embeddings = np.array([[5.0, 7.0]])
-        got = document_context_vector(X, embeddings, 0, exclude=0)
+        got = reference_document_context_vector(X, embeddings, 0, exclude=0)
         assert got.tolist() == [0.0, 0.0]
 
     def test_weighted_sum(self):
@@ -335,7 +331,7 @@ class TestDocumentContextVector:
         X = build_doc_concept_matrix(corpus, mentions, lexicon)
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        got = document_context_vector(X, np.vstack([e1, e2]), 0)
+        got = reference_document_context_vector(X, np.vstack([e1, e2]), 0)
         assert got.tolist() == [2.0, 1.0]
 
     def test_matches_loop_oracle(self):
@@ -357,18 +353,8 @@ class TestDocumentContextVector:
                 if c == exclude or dense[doc, c] == 0:
                     continue
                 oracle = oracle + dense[doc, c] * embeddings[c]
-            got = document_context_vector(X, embeddings, doc, exclude=exclude)
+            got = reference_document_context_vector(X, embeddings, doc, exclude=exclude)
             assert got == pytest.approx(oracle.tolist(), abs=1e-9)
-
-    def test_index_errors(self):
-        corpus = make_corpus(1)
-        lexicon = flat_lexicon(["C1"])
-        X = build_doc_concept_matrix(corpus, [make_mention("d000", "C1")], lexicon)
-        embeddings = np.ones((1, 2))
-        with pytest.raises(ValueError, match="doc index"):
-            document_context_vector(X, embeddings, 5)
-        with pytest.raises(ValueError, match="exclude index"):
-            document_context_vector(X, embeddings, 0, exclude=3)
 
 
 def test_sparse_matrix_file_round_trip(tmp_path):
@@ -457,7 +443,9 @@ def test_read_rejects_what_the_writer_never_writes(tmp_path, text, message):
 
 
 def test_id_file_round_trip(tmp_path):
-    ids = ("C001", "C002", "zeta")
+    # Every line break str.splitlines knows except the newline itself.
+    breaks = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    ids = ("C001", "C002", "zeta", *(f"post-0000{c}x" for c in breaks), "\r", "end\r")
     path = tmp_path / "ids.txt"
     write_id_file(ids, path)
     assert read_id_file(path) == ids

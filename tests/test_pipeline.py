@@ -275,6 +275,21 @@ NEGATED_CORPUS = [
 ]
 
 
+def test_doc_ids_keep_every_line_break_but_the_newline(tmp_path):
+    # str.splitlines would also split these ids in doc_order.txt.
+    breaks = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    corpus = [
+        {"id": f"{doc['id']}{c}x", "text": doc["text"]}
+        for doc in NEGATED_CORPUS for c in breaks
+    ]
+    config_path = write_inputs(tmp_path, corpus, [], TINY_AE)
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert read_id_file(tmp_path / "out" / "doc_order.txt") == tuple(
+        sorted(doc["id"] for doc in corpus)
+    )
+    assert_stage_eval_is_fresh(config_path)
+
+
 def test_a_recomputed_stage_recomputes_every_later_stage(tmp_path):
     run_pipeline(load_config(write_inputs(tmp_path, NEGATED_CORPUS, [], TINY_AE)))
     # A new [ner] setting, and no cached mentions: NER is recomputed, so

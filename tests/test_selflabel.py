@@ -12,15 +12,13 @@ from conceptmine.matrix import (
     build_cooc_matrix,
     build_doc_concept_matrix,
     concept_embeddings,
-    cosine_similarity,
-    document_context_vector,
 )
 from conceptmine.ner import Mention
 from conceptmine.selflabel import (
     SCORE_BLOCK,
     ScoredMention,
     ThresholdSweep,
-    label_at_threshold,
+    label_scores,
     read_scored,
     score_mentions,
     write_label_files,
@@ -28,7 +26,7 @@ from conceptmine.selflabel import (
     write_scored,
 )
 
-from conftest import flat_lexicon
+from conftest import flat_lexicon, reference_document_context_vector
 
 
 def mention(doc_id, cid, start=0, filtered=False):
@@ -112,14 +110,32 @@ def constructed_embeddings(m):
     return embeddings
 
 
+def reference_cosine(a, b):
+    """Cosine of two vectors with the scoring conventions, one pair at a
+    time: 0 for an all-zero input, exact +-1 for equal and opposite
+    inputs, otherwise the max-abs-scaled cosine clamped to [-1, 1]."""
+    scale_a = float(np.max(np.abs(a), initial=0.0))
+    scale_b = float(np.max(np.abs(b), initial=0.0))
+    if scale_a == 0.0 or scale_b == 0.0:
+        return 0.0
+    if np.array_equal(a, b):
+        return 1.0
+    if np.array_equal(a, -b):
+        return -1.0
+    a = a / scale_a
+    b = b / scale_b
+    value = float(np.dot(a, b)) / math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+    return max(-1.0, min(1.0, value))
+
+
 def oracle_scores(mentions, X, embeddings):
     scores = []
     for m in mentions:
         concept = X.concept_index(m.concept_id)
-        context = document_context_vector(
+        context = reference_document_context_vector(
             X, embeddings, X.doc_index(m.doc_id), exclude=concept
         )
-        scores.append(cosine_similarity(embeddings[concept], context))
+        scores.append(reference_cosine(embeddings[concept], context))
     return np.array(scores)
 
 
@@ -212,6 +228,8 @@ class TestScoreMentions:
 
 
 class TestLabelAtThreshold:
+    """The one label rule, :func:`label_scores`, compared with tau."""
+
     def scored(self, scores, filtered=None):
         filtered = filtered or [False] * len(scores)
         return [
@@ -219,29 +237,29 @@ class TestLabelAtThreshold:
             for i, (s, f) in enumerate(zip(scores, filtered))
         ]
 
+    def labels(self, scored, tau):
+        return (label_scores(scored) >= tau).tolist()
+
     def test_minimum_threshold_labels_all_unfiltered(self):
         scored = self.scored([0.1, -0.9, 0.0])
-        assert [lab for _, lab in label_at_threshold(scored, -1.0)] == [True] * 3
+        assert self.labels(scored, -1.0) == [True] * 3
 
     def test_direct_comparison(self):
         scored = self.scored([0.2, 0.5, 0.9])
-        assert [lab for _, lab in label_at_threshold(scored, 0.5)] == [
-            False, True, True,
-        ]
+        assert self.labels(scored, 0.5) == [False, True, True]
 
     def test_tau_one_only_perfect_scores(self):
         scored = self.scored([1.0, 0.999])
-        assert [lab for _, lab in label_at_threshold(scored, 1.0)] == [True, False]
+        assert self.labels(scored, 1.0) == [True, False]
 
-    def test_tau_outside_range_rejected(self):
+    def test_tau_outside_range_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="outside"):
-            label_at_threshold(self.scored([0.5]), 1.5)
+            write_labels_csv(self.scored([0.5]), 1.5, tmp_path / "labels.csv")
 
     def test_filtered_never_positive(self):
-        scored = self.scored([0.9, 0.9], filtered=[True, False])
+        scored = self.scored([0.9, 0.9, math.nan], filtered=[True, False, False])
         for tau in (-1.0, 0.0, 0.5):
-            labels = [lab for _, lab in label_at_threshold(scored, tau)]
-            assert labels == [False, True]
+            assert self.labels(scored, tau) == [False, True, False]
 
     def test_positives_shrink_as_tau_grows(self):
         rng = np.random.default_rng(61)
@@ -252,7 +270,7 @@ class TestLabelAtThreshold:
             for tau in taus:
                 positives = {
                     s.mention.sort_key()
-                    for s, (_, lab) in zip(scored, label_at_threshold(scored, tau))
+                    for s, lab in zip(scored, self.labels(scored, tau))
                     if lab
                 }
                 if previous is not None:
