@@ -115,6 +115,73 @@ class TestLoadLexicon:
         assert a.term_index == b.term_index
 
 
+PARSER_ERRORS = {
+    "header mismatch": (
+        "# comment\nconcept_id,term,is_preferred,parent_ids\nC1,a,true,\n",
+        "line 2: expected header concept_id,term,is_preferred,parent_ids,group",
+    ),
+    "wrong column count": (["C1,only,three"], "line 2: expected 5 columns, got 3"),
+    "empty id": ([" ,a term,true,,g"], "line 2: empty concept_id"),
+    "empty term": (["C1, ,true,,g"], "line 2: empty term for concept C1"),
+    "bad is_preferred": (["C1,a,maybe,,g"], "line 2: invalid is_preferred value 'maybe'"),
+    "conflicting groups": (
+        ["C1,a,true,,g1", "C1,b,false,,", "C1,c,false,,g2"],
+        "line 4: concept C1 has conflicting groups 'g1' and 'g2'",
+    ),
+    "two preferred terms": (
+        ["C1,a,true,,g", "C1,A,true,,g", "C1,b,true,,g"],
+        "line 4: concept C1 has two preferred terms ('a', 'b')",
+    ),
+    "no preferred term": (
+        ["C0,x,true,,g", "C1,a,false,,g", "C1,b,false,,g"],
+        "line 3: concept C1 has no preferred term",
+    ),
+    "unknown parent": (["C1,a,true,C9,g"], "concept C1 lists unknown parent 'C9'"),
+    "cycle": (
+        ["CB,b,true,CA,g", "CA,a,true,CC,g", "CC,c,true,CB,g", "C0,x,true,,g"],
+        "hierarchy cycle involving concept CA",
+    ),
+    "two errors, the earlier reported": (
+        ["C1,only,three", "C2,a,maybe,,g"],
+        "line 2: expected 5 columns, got 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("content, reason", PARSER_ERRORS.values(), ids=PARSER_ERRORS.keys())
+def test_parser_error_names_file_line_and_reason(tmp_path, content, reason):
+    path = tmp_path / "lex.csv"
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        write_lexicon_csv(path, content)
+    with pytest.raises(LexiconError) as excinfo:
+        load_lexicon(path)
+    assert str(excinfo.value) == f"{path}: {reason}"
+
+
+def test_synonyms_keep_file_order_and_first_spelling(tmp_path):
+    path = write_lexicon_csv(
+        tmp_path / "lex.csv",
+        [
+            "C1,Abuse,true,,g",
+            "C1,maltreatment,false,,g",
+            "C1,ABUSE,false,,g",
+            "C1,Maltreatment,false,,g",
+            "C1,neglect,false,,g",
+            "C2,harm,false,,g",
+            "C2,Harm,true,,g",
+        ],
+    )
+    lexicon = load_lexicon(path)
+    assert lexicon.get("C1").preferred_name == "Abuse"
+    assert lexicon.get("C1").synonyms == ("maltreatment", "neglect")
+    assert lexicon.get("C2").terms() == ("Harm",)
+    assert lexicon.term_index == {
+        "abuse": ("C1",), "maltreatment": ("C1",), "neglect": ("C1",), "harm": ("C2",)
+    }
+
+
 def random_dag_rows(rng, n=30):
     # Parents only point at lower-numbered concepts, so the file is acyclic.
     rows = []
