@@ -74,19 +74,13 @@ class AEModel:
         return self.W_enc.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class AEGradients:
-    W_enc: np.ndarray
-    b_enc: np.ndarray
-    W_dec: np.ndarray
-    b_dec: np.ndarray
-
-
 @dataclass(frozen=True)
 class TrainReport:
-    loss_per_epoch: tuple[float, ...]
-    final_loss: float
+    """Fields in the order ``train_report.json`` lists them."""
+
     seed: int
+    final_loss: float
+    loss_per_epoch: tuple[float, ...]
 
 
 def init_model(config: AEConfig) -> AEModel:
@@ -139,9 +133,9 @@ def _as_batch(batch: Sequence[np.ndarray] | np.ndarray, input_dim: int) -> np.nd
 
 def loss_and_gradients(
     model: AEModel, batch: Sequence[np.ndarray] | np.ndarray
-) -> tuple[float, AEGradients]:
+) -> tuple[float, AEModel]:
     """Mean squared reconstruction error over the batch and its exact
-    backpropagation gradients.
+    backpropagation gradients, returned as a model of the same shape.
 
     Loss is the batch mean of (1/m) * sum_j (reconstructed_j - x_j)^2.
     """
@@ -163,8 +157,12 @@ def loss_and_gradients(
             d_pre = d_encoded
         grad_W_enc = d_pre.T @ X
         grad_b_enc = d_pre.sum(axis=0)
-    return loss, AEGradients(
-        W_enc=grad_W_enc, b_enc=grad_b_enc, W_dec=grad_W_dec, b_dec=grad_b_dec
+    return loss, AEModel(
+        W_enc=grad_W_enc,
+        b_enc=grad_b_enc,
+        W_dec=grad_W_dec,
+        b_dec=grad_b_dec,
+        activation=model.activation,
     )
 
 
@@ -204,7 +202,7 @@ def train(
                 param -= lr * grad
         losses.append(epoch_sse / n)
     return trained, TrainReport(
-        loss_per_epoch=tuple(losses), final_loss=losses[-1], seed=config.seed
+        seed=config.seed, final_loss=losses[-1], loss_per_epoch=tuple(losses)
     )
 
 

@@ -48,9 +48,6 @@ class Corpus:
         except KeyError:
             raise CorpusError(f"unknown doc id: {doc_id!r}") from None
 
-    def get(self, doc_id: str) -> Document:
-        return self.docs[self.index_of(doc_id)]
-
     def doc_ids(self) -> tuple[str, ...]:
         return tuple(d.doc_id for d in self.docs)
 

@@ -4,21 +4,22 @@ The lexicon file is a UTF-8 CSV with a header row and columns
 ``concept_id,term,is_preferred,parent_ids,group``. One row per
 (concept, term) pair; ``parent_ids`` is a ``;``-separated list of concept
 ids (possibly empty); lines starting with ``#`` are comments.
+
+A :class:`Lexicon` builds its child map and its folded-term table once;
+the leaf, descendant and vocabulary functions read them.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .tokenize import fold_term_tokens
 
 ConceptId = str
 
+_HEADER = ["concept_id", "term", "is_preferred", "parent_ids", "group"]
 _TRUE_STRINGS = {"true", "1", "yes", "y"}
 _FALSE_STRINGS = {"false", "0", "no", "n", ""}
 
@@ -45,16 +46,24 @@ class Lexicon:
 
     ``term_index`` maps every case-folded term to the sorted tuple of
     concept ids carrying it; the id order doubles as the stable matrix
-    column order downstream.
+    column order downstream. Construction builds the child map (each
+    concept's children, in concept order) and raises
+    :class:`LexiconError` for an unknown parent or a hierarchy cycle.
     """
 
     concepts: tuple[Concept, ...]
     term_index: dict[str, tuple[ConceptId, ...]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_by_id", {c.id: c for c in self.concepts}
-        )
+        children: dict[ConceptId, list[ConceptId]] = {c.id: [] for c in self.concepts}
+        for concept in self.concepts:
+            for pid in concept.parents:
+                if pid not in children:
+                    raise LexiconError(f"concept {concept.id} lists unknown parent {pid!r}")
+                children[pid].append(concept.id)
+        object.__setattr__(self, "_by_id", {c.id: c for c in self.concepts})
+        object.__setattr__(self, "_children", children)
+        _check_acyclic(self)
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -67,9 +76,6 @@ class Lexicon:
             return self._by_id[concept_id]  # type: ignore[attr-defined]
         except KeyError:
             raise LexiconError(f"unknown concept id: {concept_id!r}") from None
-
-    def concept_ids(self) -> tuple[ConceptId, ...]:
-        return tuple(c.id for c in self.concepts)
 
     def n_terms(self) -> int:
         return len(self.term_index)
@@ -100,8 +106,9 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 def _read_lexicon(path: Path) -> Lexicon:
     preferred: dict[ConceptId, str] = {}
-    synonyms: dict[ConceptId, list[str]] = {}
-    parents: dict[ConceptId, list[ConceptId]] = {}
+    # Each concept's folded synonyms, mapped to their first spelling in file order.
+    synonyms: dict[ConceptId, dict[str, str]] = {}
+    parents: dict[ConceptId, set[ConceptId]] = {}
     groups: dict[ConceptId, str] = {}
     first_line: dict[ConceptId, int] = {}
 
@@ -111,19 +118,15 @@ def _read_lexicon(path: Path) -> Lexicon:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            if not header_seen:
-                header = next(csv.reader(io.StringIO(line)))
-                expected = ["concept_id", "term", "is_preferred", "parent_ids", "group"]
-                if [h.strip() for h in header] != expected:
-                    raise LexiconError(
-                        f"line {line_no}: expected header {','.join(expected)}"
-                    )
-                header_seen = True
-                continue
             try:
-                row = next(csv.reader(io.StringIO(line)))
+                row = next(csv.reader([line]))
             except csv.Error as exc:
                 raise LexiconError(f"line {line_no}: {exc}") from exc
+            if not header_seen:
+                if [h.strip() for h in row] != _HEADER:
+                    raise LexiconError(f"line {line_no}: expected header {','.join(_HEADER)}")
+                header_seen = True
+                continue
             if len(row) != 5:
                 raise LexiconError(
                     f"line {line_no}: expected 5 columns, got {len(row)}"
@@ -136,96 +139,67 @@ def _read_lexicon(path: Path) -> Lexicon:
             is_pref = _parse_bool(is_pref_raw, line_no)
 
             first_line.setdefault(cid, line_no)
-            row_parents = [p.strip() for p in parent_raw.split(";") if p.strip()]
-            existing = parents.setdefault(cid, [])
-            for pid in row_parents:
-                if pid not in existing:
-                    existing.append(pid)
-            if group:
-                prior = groups.get(cid)
-                if prior is not None and prior != group:
-                    raise LexiconError(
-                        f"line {line_no}: concept {cid} has conflicting groups "
-                        f"{prior!r} and {group!r}"
-                    )
-                groups[cid] = group
+            parents.setdefault(cid, set()).update(p.strip() for p in parent_raw.split(";"))
+            if group and groups.setdefault(cid, group) != group:
+                raise LexiconError(
+                    f"line {line_no}: concept {cid} has conflicting groups "
+                    f"{groups[cid]!r} and {group!r}"
+                )
 
             if is_pref:
-                prior_name = preferred.get(cid)
-                if prior_name is not None and prior_name.lower() != term.lower():
+                prior_name = preferred.setdefault(cid, term)
+                if prior_name.lower() != term.lower():
                     raise LexiconError(
                         f"line {line_no}: concept {cid} has two preferred terms "
                         f"({prior_name!r}, {term!r})"
                     )
-                preferred.setdefault(cid, term)
             else:
-                synonyms.setdefault(cid, [])
-                if term.lower() not in (s.lower() for s in synonyms[cid]):
-                    synonyms[cid].append(term)
+                synonyms.setdefault(cid, {}).setdefault(term.lower(), term)
 
     concepts = []
+    term_index: dict[str, list[ConceptId]] = {}
     for cid in sorted(first_line):
         if cid not in preferred:
             raise LexiconError(
                 f"line {first_line[cid]}: concept {cid} has no preferred term"
             )
-        pref = preferred[cid]
-        syns = tuple(
-            s for s in synonyms.get(cid, []) if s.lower() != pref.lower()
+        syns = synonyms.get(cid, {})
+        syns.pop(preferred[cid].lower(), None)
+        concept = Concept(
+            id=cid,
+            preferred_name=preferred[cid],
+            synonyms=tuple(syns.values()),
+            parents=tuple(sorted(parents[cid] - {""})),
+            group=groups.get(cid, ""),
         )
-        concepts.append(
-            Concept(
-                id=cid,
-                preferred_name=pref,
-                synonyms=syns,
-                parents=tuple(sorted(parents.get(cid, []))),
-                group=groups.get(cid, ""),
-            )
-        )
-
-    known = {c.id for c in concepts}
-    for concept in concepts:
-        for pid in concept.parents:
-            if pid not in known:
-                raise LexiconError(
-                    f"concept {concept.id} lists unknown parent {pid!r}"
-                )
-    _check_acyclic(concepts)
-
-    term_index: dict[str, set[ConceptId]] = {}
-    for concept in concepts:
+        concepts.append(concept)
+        # A concept's folded terms are distinct and ids come sorted.
         for term in concept.terms():
-            term_index.setdefault(term.lower(), set()).add(concept.id)
-    frozen_index = {term: tuple(sorted(ids)) for term, ids in term_index.items()}
-    return Lexicon(concepts=tuple(concepts), term_index=frozen_index)
+            term_index.setdefault(term.lower(), []).append(cid)
+    return Lexicon(
+        concepts=tuple(concepts),
+        term_index={term: tuple(ids) for term, ids in term_index.items()},
+    )
 
 
-def _check_acyclic(concepts: Iterable[Concept]) -> None:
-    # Kahn's algorithm over child -> parent edges; leftovers form a cycle.
-    parents = {c.id: set(c.parents) for c in concepts}
-    children: dict[ConceptId, set[ConceptId]] = {cid: set() for cid in parents}
-    for cid, pids in parents.items():
-        for pid in pids:
-            children[pid].add(cid)
-    ready = deque(sorted(cid for cid, pids in parents.items() if not pids))
-    seen = 0
-    pending = {cid: len(pids) for cid, pids in parents.items()}
+def _check_acyclic(lexicon: Lexicon) -> None:
+    # Kahn's algorithm over the child map; a concept never freed lies on or below a cycle.
+    pending = {c.id: len(c.parents) for c in lexicon.concepts}
+    ready = [cid for cid, n in pending.items() if n == 0]
     while ready:
-        cid = ready.popleft()
-        seen += 1
-        for child in sorted(children[cid]):
+        for child in lexicon._children[ready.pop()]:  # type: ignore[attr-defined]
             pending[child] -= 1
             if pending[child] == 0:
                 ready.append(child)
-    if seen != len(parents):
-        member = min(cid for cid, n in pending.items() if n > 0)
-        raise LexiconError(f"hierarchy cycle involving concept {member}")
+    stuck = [cid for cid, n in pending.items() if n > 0]
+    if stuck:
+        raise LexiconError(f"hierarchy cycle involving concept {min(stuck)}")
 
 
 def extract_leaf_concepts(lexicon: Lexicon) -> set[ConceptId]:
     """Concepts that no other concept lists as a parent."""
-    non_leaves = {pid for c in lexicon.concepts for pid in c.parents}
-    return {c.id for c in lexicon.concepts} - non_leaves
+    children = lexicon._children  # type: ignore[attr-defined]
+    return {cid for cid, kids in children.items() if not kids}
 
 
 def expand_descendants(lexicon: Lexicon, roots: set[ConceptId]) -> set[ConceptId]:
@@ -233,15 +207,10 @@ def expand_descendants(lexicon: Lexicon, roots: set[ConceptId]) -> set[ConceptId
     for root in roots:
         if root not in lexicon:
             raise LexiconError(f"unknown root concept id: {root!r}")
-    children: dict[ConceptId, list[ConceptId]] = {}
-    for concept in lexicon.concepts:
-        for pid in concept.parents:
-            children.setdefault(pid, []).append(concept.id)
     result = set(roots)
-    frontier = deque(roots)
+    frontier = list(roots)
     while frontier:
-        cid = frontier.popleft()
-        for child in children.get(cid, ()):
+        for child in lexicon._children[frontier.pop()]:  # type: ignore[attr-defined]
             if child not in result:
                 result.add(child)
                 frontier.append(child)
@@ -279,18 +248,16 @@ def build_vocabulary(lexicon: Lexicon, selected: set[ConceptId]) -> Vocabulary:
     if unknown:
         raise LexiconError(f"selected ids not in lexicon: {', '.join(unknown)}")
 
-    surfaces: dict[str, set[ConceptId]] = {}
-    for cid in sorted(selected):
-        for term in lexicon.get(cid).terms():
-            surfaces.setdefault(term.lower(), set()).add(cid)
-
     terms: dict[tuple[str, ...], set[ConceptId]] = {}
     longest: dict[str, int] = {}
-    for surface in sorted(surfaces):
+    for surface in sorted(lexicon.term_index):
+        cids = selected.intersection(lexicon.term_index[surface])
+        if not cids:
+            continue
         tokens = fold_term_tokens(surface)
         if not tokens:
             raise LexiconError(f"term {surface!r} contains no matchable tokens")
-        terms.setdefault(tokens, set()).update(surfaces[surface])
+        terms.setdefault(tokens, set()).update(cids)
         longest[tokens[0]] = max(longest.get(tokens[0], 0), len(tokens))
 
     return Vocabulary(

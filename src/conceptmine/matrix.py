@@ -83,10 +83,6 @@ class DocConceptMatrix:
         )
 
     @property
-    def n_docs(self) -> int:
-        return len(self.doc_ids)
-
-    @property
     def m_concepts(self) -> int:
         return len(self.concept_ids)
 
@@ -98,9 +94,6 @@ class DocConceptMatrix:
 
     def has_concept(self, concept_id: ConceptId) -> bool:
         return concept_id in self._concept_index  # type: ignore[attr-defined]
-
-    def triplets(self) -> Iterator[tuple[int, int, int]]:
-        yield from _iter_triplets(self.counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +114,6 @@ class CoocMatrix:
     @property
     def m_concepts(self) -> int:
         return len(self.concept_ids)
-
-    def triplets(self) -> Iterator[tuple[int, int, int]]:
-        yield from _iter_triplets(self.counts)
 
 
 def _check_shape(counts: CSRCounts, expected: tuple[int, int]) -> None:
@@ -199,7 +189,7 @@ def write_sparse_matrix(matrix: DocConceptMatrix | CoocMatrix, path: str | Path)
     """Text triplet format: header ``rows cols nnz`` then ``row col value``
     lines sorted by (row, col)."""
     shape = matrix.counts.shape
-    triplets = list(matrix.triplets())
+    triplets = list(_iter_triplets(matrix.counts))
     with Path(path).open("w", encoding="utf-8") as handle:
         handle.write(f"{shape[0]} {shape[1]} {len(triplets)}\n")
         for row, col, value in triplets:

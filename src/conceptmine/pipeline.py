@@ -181,12 +181,7 @@ def _autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
     data = concept_embeddings(run.C, normalized=config.normalized)
     run.model, report = ae.train(ae.init_model(ae_config), data, ae_config)
     ae.save_model(run.model, model_path, seed=config.seed)
-    report_doc = {
-        "seed": report.seed,
-        "final_loss": report.final_loss,
-        "loss_per_epoch": list(report.loss_per_epoch),
-    }
-    report_path.write_text(json.dumps(report_doc, indent=1) + "\n", encoding="utf-8")
+    report_path.write_text(json.dumps(asdict(report), indent=1) + "\n", encoding="utf-8")
 
 
 def _read_autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
@@ -217,12 +212,14 @@ def _read_score(run: _Run, raw: Path, encoded: Path, *labels: Path) -> None:
                 "rerun without --stage"
             )
     for space, path in (("raw", raw), ("encoded", encoded)):
-        run.scored[space] = read_scored(path)
-        if [s.mention for s in run.scored[space]] != run.mentions:
+        records = read_scored(path)
+        if [s.mention for s in records] != run.mentions:
             raise ValueError(
                 f"cached {path.name} does not hold the mentions of mentions.jsonl; "
                 "rerun without --stage"
             )
+        # Equal, so share run.mentions: a rerun then holds one object per mention.
+        run.scored[space] = [ScoredMention(m, s.score) for m, s in zip(run.mentions, records)]
 
 
 def _eval(

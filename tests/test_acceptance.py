@@ -99,7 +99,7 @@ def test_criterion_2_matrix_oracle_equivalence():
                 for m in mentions
             ]
             X = build_doc_concept_matrix(corpus, mentions, lexicon)
-            dense = np.zeros((X.n_docs, X.m_concepts), dtype=np.int64)
+            dense = np.zeros((len(X.doc_ids), X.m_concepts), dtype=np.int64)
             for m in mentions:
                 if not m.filtered:
                     dense[corpus.index_of(m.doc_id), X.concept_index(m.concept_id)] += 1
@@ -269,7 +269,7 @@ def test_criterion_7_ner_golden_passage(tmp_path):
             f"C{i:02d},{term},true,,g" for i, term in enumerate(GOLDEN_TERMS)
         ]
         lexicon = load_lexicon(write_lexicon_csv(tmp_path / "golden.csv", rows))
-        vocab = build_vocabulary(lexicon, set(lexicon.concept_ids()))
+        vocab = build_vocabulary(lexicon, {c.id for c in lexicon.concepts})
         mentions = find_mentions(Document(doc_id="post", text=text), vocab)
 
         got_spans = {(m.start, m.end) for m in mentions}

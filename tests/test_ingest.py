@@ -28,7 +28,7 @@ def test_three_lines_sorted_by_id(tmp_path):
     corpus = load_corpus(path)
     assert len(corpus) == 3
     assert corpus.doc_ids() == ("a", "b", "c")
-    assert corpus.get("c").meta == {"subreddit": "r/x"}
+    assert corpus.docs[corpus.index_of("c")].meta == {"subreddit": "r/x"}
 
 
 def test_empty_file(tmp_path):
@@ -72,7 +72,7 @@ def test_missing_text_is_error(tmp_path):
 def test_empty_text_documents_are_kept(tmp_path):
     path = write_jsonl(tmp_path / "c.jsonl", [{"id": "a", "text": ""}])
     corpus = load_corpus(path)
-    assert corpus.get("a").text == ""
+    assert corpus.docs[corpus.index_of("a")].text == ""
 
 
 def test_round_trip_stability(tmp_path):
@@ -89,7 +89,7 @@ def test_round_trip_stability(tmp_path):
     second = load_corpus(out)
     assert first.docs == second.docs
     # Non-string metadata is canonicalized to strings on first load.
-    assert first.get("b").meta == {"score": "3", "flag": "true"}
+    assert first.docs[first.index_of("b")].meta == {"score": "3", "flag": "true"}
 
 
 def test_order_independent_of_line_order(tmp_path):

@@ -39,7 +39,7 @@ class TestLoadLexicon:
         lexicon = load_lexicon(path)
         assert len(lexicon) == 2
         assert lexicon.n_terms() == 3
-        assert lexicon.concept_ids() == ("C0", "C1")
+        assert tuple(c.id for c in lexicon.concepts) == ("C0", "C1")
         assert lexicon.get("C1").synonyms == ("abuse of child",)
         assert lexicon.term_index["child abuse"] == ("C1",)
 
@@ -110,7 +110,7 @@ class TestLoadLexicon:
         ]
         a = load_lexicon(write_lexicon_csv(tmp_path / "a.csv", rows))
         b = load_lexicon(write_lexicon_csv(tmp_path / "b.csv", rows[::-1]))
-        assert a.concept_ids() == b.concept_ids()
+        assert [c.id for c in a.concepts] == [c.id for c in b.concepts]
         assert [c.terms() for c in a.concepts] == [c.terms() for c in b.concepts]
         assert a.term_index == b.term_index
 
@@ -119,6 +119,10 @@ PARSER_ERRORS = {
     "header mismatch": (
         "# comment\nconcept_id,term,is_preferred,parent_ids\nC1,a,true,\n",
         "line 2: expected header concept_id,term,is_preferred,parent_ids,group",
+    ),
+    "oversized header field": (
+        "concept_id," + "x" * 131073 + "\n",
+        "line 1: field larger than field limit (131072)",
     ),
     "wrong column count": (["C1,only,three"], "line 2: expected 5 columns, got 3"),
     "empty id": ([" ,a term,true,,g"], "line 2: empty concept_id"),
@@ -234,7 +238,7 @@ class TestLeavesAndDescendants:
         for trial in range(20):
             rows = random_dag_rows(rng)
             lexicon = load_lexicon(write_lexicon_csv(tmp_path / "dag.csv", rows))
-            ids = list(lexicon.concept_ids())
+            ids = [c.id for c in lexicon.concepts]
             n_roots = int(rng.integers(1, 6))
             roots = {ids[int(j)] for j in rng.choice(len(ids), n_roots, replace=False)}
             edges = [
@@ -258,7 +262,7 @@ class TestLeavesAndDescendants:
         rng = np.random.default_rng(13)
         rows = random_dag_rows(rng)
         lexicon = load_lexicon(write_lexicon_csv(tmp_path / "dag.csv", rows))
-        ids = list(lexicon.concept_ids())
+        ids = [c.id for c in lexicon.concepts]
         small = {ids[3], ids[17]}
         large = small | {ids[8], ids[25]}
         assert expand_descendants(lexicon, small) <= expand_descendants(lexicon, large)

@@ -89,7 +89,7 @@ class TestDocConceptMatrix:
         mentions = [make_mention("d000", "C1", filtered=True)]
         X = build_doc_concept_matrix(corpus, mentions, lexicon)
         assert X.m_concepts == 0
-        assert list(X.triplets()) == []
+        assert X.counts.nnz == 0
         assert X.counts.shape == (3, 0)
 
     def test_unknown_doc_is_error(self):
@@ -109,7 +109,7 @@ class TestDocConceptMatrix:
         for trial in range(100):
             corpus, lexicon, mentions = random_instance(rng)
             X = build_doc_concept_matrix(corpus, mentions, lexicon)
-            dense = np.zeros((X.n_docs, X.m_concepts), dtype=np.int64)
+            dense = np.zeros((len(X.doc_ids), X.m_concepts), dtype=np.int64)
             for m in mentions:
                 if not m.filtered:
                     dense[
@@ -168,7 +168,7 @@ class TestCoocMatrix:
                 for j in range(m):
                     brute[i, j] = sum(
                         1
-                        for d in range(X.n_docs)
+                        for d in range(len(X.doc_ids))
                         if dense_X[d, i] >= 1 and dense_X[d, j] >= 1
                     )
             got = C.counts.toarray()
@@ -343,7 +343,7 @@ class TestDocumentContextVector:
                 continue
             d = int(rng.integers(2, 6))
             embeddings = rng.normal(size=(X.m_concepts, d))
-            doc = int(rng.integers(X.n_docs))
+            doc = int(rng.integers(len(X.doc_ids)))
             exclude = (
                 int(rng.integers(X.m_concepts)) if rng.random() < 0.5 else None
             )

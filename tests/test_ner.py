@@ -94,7 +94,7 @@ NESTED_ROWS = [
 @pytest.fixture()
 def nested_vocab(tmp_path):
     lexicon = load_lexicon(write_lexicon_csv(tmp_path / "nested.csv", NESTED_ROWS))
-    return lexicon, build_vocabulary(lexicon, set(lexicon.concept_ids()))
+    return lexicon, build_vocabulary(lexicon, {c.id for c in lexicon.concepts})
 
 
 def brute_force_mentions(text, term_concepts):
@@ -241,7 +241,7 @@ class TestFindMentions:
             lexicon = load_lexicon(
                 write_lexicon_csv(tmp_path / f"vocab{trial}.csv", rows)
             )
-            vocab = build_vocabulary(lexicon, set(lexicon.concept_ids()))
+            vocab = build_vocabulary(lexicon, {c.id for c in lexicon.concepts})
             term_concepts = {
                 term: set(cids) for term, cids in lexicon.term_index.items()
             }
@@ -448,7 +448,7 @@ class TestNegationOracle:
 
     def test_random_texts_and_cues(self, tmp_path):
         lexicon = load_lexicon(write_lexicon_csv(tmp_path / "neg.csv", self.TERMS))
-        vocab = build_vocabulary(lexicon, set(lexicon.concept_ids()))
+        vocab = build_vocabulary(lexicon, {c.id for c in lexicon.concepts})
         cue_words = ["no", "not", "sign", "of", "a", "never", "No", "NOT"]
         rng = np.random.default_rng(11)
         for trial in range(120):

@@ -9,6 +9,7 @@ from dataclasses import fields
 import pytest
 
 from conceptmine import autoencoder as ae
+from conceptmine import evaluate as ev
 from conceptmine.cli import main
 from conceptmine.config import PipelineConfig, load_config
 from conceptmine.pipeline import (
@@ -444,6 +445,30 @@ def test_a_fixed_gold_file_reuses_every_stage(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ae, "train", _fail_training)
     assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 0
     assert (tmp_path / "out" / "auc_summary.json").is_file()
+
+
+def test_a_cached_rerun_holds_one_object_per_mention(tmp_path, monkeypatch):
+    config_path = write_inputs(tmp_path, NEGATED_CORPUS, [], TINY_AE)
+    assert main(["run", "--config", str(config_path)]) == 0
+    seen = {}
+
+    def spy(name):
+        real = getattr(ev, name)
+
+        def call(items, *args, **kwargs):
+            seen.setdefault(name, []).append(items)
+            return real(items, *args, **kwargs)
+
+        monkeypatch.setattr(ev, name, call)
+
+    spy("per_concept_metrics")
+    spy("pr_sweep")
+    assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 0
+    [predicted] = seen["per_concept_metrics"]
+    assert len(seen["pr_sweep"]) == 2
+    for scored in seen["pr_sweep"]:
+        assert len(scored) == len(predicted) > 0
+        assert all(s.mention is m for s, (m, _) in zip(scored, predicted))
 
 
 def _traced_artifacts():

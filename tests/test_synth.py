@@ -42,7 +42,7 @@ def test_gold_spans_align_with_matcher_output(data_dir):
         for m in find_mentions(doc, vocab):
             mention_spans.add((m.doc_id, m.start, m.end))
     for g in gold:
-        text = corpus.get(g.doc_id).text
+        text = corpus.docs[corpus.index_of(g.doc_id)].text
         assert 0 <= g.start < g.end <= len(text)
         if g.label == "Manual_ACEs":
             # Paraphrases must stay invisible to the matcher.
