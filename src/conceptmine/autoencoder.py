@@ -158,10 +158,7 @@ def loss_and_gradients(
         grad_W_enc = d_pre.T @ X
         grad_b_enc = d_pre.sum(axis=0)
     return loss, AEModel(
-        W_enc=grad_W_enc,
-        b_enc=grad_b_enc,
-        W_dec=grad_W_dec,
-        b_dec=grad_b_dec,
+        W_enc=grad_W_enc, b_enc=grad_b_enc, W_dec=grad_W_dec, b_dec=grad_b_dec,
         activation=model.activation,
     )
 

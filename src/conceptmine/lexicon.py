@@ -5,8 +5,8 @@ The lexicon file is a UTF-8 CSV with a header row and columns
 (concept, term) pair; ``parent_ids`` is a ``;``-separated list of concept
 ids (possibly empty); lines starting with ``#`` are comments.
 
-A :class:`Lexicon` builds its child map and its folded-term table once;
-the leaf, descendant and vocabulary functions read them.
+The child map and the folded-term table are built once per
+:class:`Lexicon`; the leaf, descendant and vocabulary functions read them.
 """
 
 from __future__ import annotations
