@@ -188,11 +188,10 @@ def concept_embeddings(C: CoocMatrix, normalized: bool = False) -> np.ndarray:
 def write_sparse_matrix(matrix: DocConceptMatrix | CoocMatrix, path: str | Path) -> None:
     """Text triplet format: header ``rows cols nnz`` then ``row col value``
     lines sorted by (row, col)."""
-    shape = matrix.counts.shape
-    triplets = list(_iter_triplets(matrix.counts))
+    counts = matrix.counts
     with Path(path).open("w", encoding="utf-8") as handle:
-        handle.write(f"{shape[0]} {shape[1]} {len(triplets)}\n")
-        for row, col, value in triplets:
+        handle.write(f"{counts.shape[0]} {counts.shape[1]} {counts.nnz}\n")
+        for row, col, value in _iter_triplets(counts):
             handle.write(f"{row} {col} {value}\n")
 
 

@@ -4,10 +4,10 @@ The pipeline is one table of stages in run order. Each entry names the
 stage, the files it writes under the output directory, ``compute`` (a
 pure computation plus the writers of those files) and ``read`` (the
 cached load; ``eval`` has none). :func:`run_pipeline` walks the table
-once. A stage is read from its files only when ``upto`` names a later
-stage, all of its files exist, every stage before it was read too and
-``fingerprint.json`` equals this run's :func:`fingerprint`; otherwise it
-is computed. Any exception inside a stage becomes a
+once. A stage is read from its files only when ``upto`` names a later stage,
+every stage before it was read too and ``fingerprint.json`` holds this run's
+:func:`fingerprint` and each of the stage's files at its current size and
+CRC-32; otherwise it is computed. Any exception inside a stage becomes a
 :class:`PipelineError` naming it. All outputs are canonically ordered;
 reruns with the same config and seed are byte-identical.
 """
@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 from . import autoencoder as ae
 from . import evaluate as ev
 from .config import PipelineConfig
-from .ingest import Corpus, load_corpus
+from .ingest import Corpus, load_corpus, read_records
 from .lexicon import (
     ConceptId,
     Lexicon,
@@ -48,14 +48,7 @@ from .matrix import (
     write_sparse_matrix,
 )
 from .ner import Mention, find_corpus_mentions, read_mentions, write_mentions
-from .selflabel import (
-    ScoredMention,
-    label_file_name,
-    read_scored,
-    score_mentions,
-    write_label_files,
-    write_scored,
-)
+from .selflabel import ScoredMention, score_mentions, write_label_files, write_scored
 
 SELECTED_CONCEPTS = "selected_concepts.txt"
 FINGERPRINT = "fingerprint.json"
@@ -115,18 +108,22 @@ class _Stage:
     read: Callable[..., None] | None = None
 
 
-def select_concepts(
-    lexicon: Lexicon, expand_groups: tuple[str, ...]
-) -> set[ConceptId]:
-    """Matching vocabulary selection: every leaf concept, plus the full
-    descendant closure of the concepts in the expansion groups. A group
-    that no concept carries is an error."""
+def _selection(lexicon: Lexicon, expand_groups: tuple[str, ...]) -> tuple[set[ConceptId], ...]:
+    """The leaf concepts, the concepts of the expansion groups and their
+    descendant closure. A group that no concept carries is an error."""
     groups = {c.group for c in lexicon.concepts}
     for group in expand_groups:
         if group not in groups:
             raise LexiconError(f"expand group {group!r} names no concept of the lexicon")
     roots = {c.id for c in lexicon.concepts if c.group in expand_groups}
-    return extract_leaf_concepts(lexicon) | expand_descendants(lexicon, roots)
+    return extract_leaf_concepts(lexicon), roots, expand_descendants(lexicon, roots)
+
+
+def select_concepts(lexicon: Lexicon, expand_groups: tuple[str, ...]) -> set[ConceptId]:
+    """Matching vocabulary selection: every leaf concept, plus the full
+    descendant closure of the concepts in the expansion groups."""
+    leaves, _, expanded = _selection(lexicon, expand_groups)
+    return leaves | expanded
 
 
 def _ner(run: _Run, path: Path) -> None:
@@ -204,22 +201,9 @@ def _score(
 
 
 def _read_score(run: _Run, raw: Path, encoded: Path, *labels: Path) -> None:
-    names = sorted(label_file_name(tau) for tau in run.config.sweep.thresholds)
-    for labels_dir in labels:
-        if sorted(p.name for p in labels_dir.glob("threshold_*.csv")) != names:
-            raise ValueError(
-                f"cached {labels_dir.name} does not hold the label files of the sweep; "
-                "rerun without --stage"
-            )
     for space, path in (("raw", raw), ("encoded", encoded)):
-        records = read_scored(path)
-        if [s.mention for s in records] != run.mentions:
-            raise ValueError(
-                f"cached {path.name} does not hold the mentions of mentions.jsonl; "
-                "rerun without --stage"
-            )
-        # Equal, so share run.mentions: a rerun then holds one object per mention.
-        run.scored[space] = [ScoredMention(m, s.score) for m, s in zip(run.mentions, records)]
+        scores = (record["score"] for _, record in read_records(path, required=("score",)))
+        run.scored[space] = [ScoredMention(m, score) for m, score in zip(run.mentions, scores)]
 
 
 def _eval(
@@ -297,7 +281,7 @@ def stage_of(name: str) -> str:
 
 
 def _plain(value: object) -> object:
-    """JSON form of a config value: an input file is its size and CRC-32."""
+    """JSON form of a config value; a file is its size and CRC-32."""
     if isinstance(value, Path):
         crc = 0
         with value.open("rb") as handle:  # 64 KiB at a time, so peak RSS stays put
@@ -317,6 +301,23 @@ def fingerprint(config: PipelineConfig) -> str:
     return json.dumps(doc, sort_keys=True, default=_plain) + "\n"
 
 
+def _digests(root: Path, paths: list[Path]) -> dict[str, object]:
+    """Each file of ``paths``, a directory's one by one, by its path under
+    ``root``: ``[size, CRC-32]``, or None when it is missing."""
+    files = [f for p in paths for f in (sorted(p.iterdir()) if p.is_dir() else [p])]
+    return {f.relative_to(root).as_posix(): _plain(f) if f.is_file() else None for f in files}
+
+
+def _recorded(stamp: Path, built_from: str) -> dict[str, object]:
+    """The digests in ``stamp`` if it parses and its settings are this run's."""
+    try:
+        settings, digests = stamp.read_text(encoding="utf-8").split("\n", 1)
+        recorded = json.loads(digests)
+    except (OSError, ValueError):
+        return {}
+    return recorded if settings + "\n" == built_from and isinstance(recorded, dict) else {}
+
+
 @contextmanager
 def _failing_as(stage: str) -> Iterator[None]:
     try:
@@ -331,9 +332,9 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
     With ``upto=None`` every stage is computed fresh. With a stage name,
     the stages before it are read back by the module's rule, the named
     stage is computed, the run stops after it and every later stage's
-    files are removed. ``fingerprint.json`` is removed before a stage
-    that can be read back is computed and rewritten after it, so it
-    never vouches for a half-written stage.
+    files are removed. After each stage that can be read back,
+    ``fingerprint.json`` is rewritten with the digests of this run's
+    stages so far.
     """
     if upto is not None and upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}, expected one of {STAGES}")
@@ -346,8 +347,7 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
         vocab = build_vocabulary(lexicon, selected)
         write_id_file(sorted(selected), root / SELECTED_CONCEPTS)
         built_from, stamp = fingerprint(config), root / FINGERPRINT
-        reuse = upto is not None and stamp.is_file()
-        reuse = reuse and stamp.read_bytes() == built_from.encode()
+        recorded = _recorded(stamp, built_from) if upto is not None else {}
 
     last = STAGES.index(upto or STAGES[-1])
     # Later stages' artifacts no longer follow from this run's; drop them.
@@ -357,18 +357,20 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
         path.unlink(missing_ok=True)
 
     run = _Run(config, lexicon, corpus, vocab)
+    reuse, stamped = bool(recorded), {}
     for stage in _TABLE[: last + 1]:
         paths = [root / name for name in stage.files]
-        # Once a stage is computed, every later stage is computed too.
-        reuse = reuse and stage.name != upto and all(p.exists() for p in paths)
-        # eval's files are never read back, so it leaves the fingerprint be.
-        renew = not reuse and stage.read is not None
         with _failing_as(stage.name):
-            if renew:
-                stamp.unlink(missing_ok=True)
+            # Read back only files the stamp vouches for, byte for byte. Once a
+            # stage is computed, every later stage is computed too.
+            digests = _digests(root, paths) if reuse and stage.name != upto else None
+            mine = {k: v for k, v in recorded.items() if k.split("/")[0] in stage.files}
+            reuse = digests == mine
             (stage.read if reuse else stage.compute)(run, *paths)
-            if renew:
-                stamp.write_text(built_from, encoding="utf-8")
+            # eval's files are never read back, so they need no digest.
+            if stage.read is not None:
+                stamped.update(digests if reuse else _digests(root, paths))
+                stamp.write_text(built_from + json.dumps(stamped) + "\n", encoding="utf-8")
 
     return RunResult(
         n_docs=len(corpus),
@@ -385,10 +387,8 @@ def lexicon_summary(config: PipelineConfig) -> dict[str, object]:
     """Counts for the lexicon subcommand; also writes the resolved
     concept list."""
     lexicon = load_lexicon(config.lexicon_path)
-    leaves = extract_leaf_concepts(lexicon)
-    roots = {c.id for c in lexicon.concepts if c.group in config.expand_groups}
-    expanded = expand_descendants(lexicon, roots)
-    selected = select_concepts(lexicon, config.expand_groups)
+    leaves, roots, expanded = _selection(lexicon, config.expand_groups)
+    selected = leaves | expanded
     vocab = build_vocabulary(lexicon, selected)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     selected_path = config.output_dir / SELECTED_CONCEPTS

@@ -407,7 +407,7 @@ class TestCSRCounts:
 
     def test_counts_must_fit_the_ids(self):
         counts = csr_from_dense(np.ones((3, 2)))
-        with pytest.raises(MatrixError, match=r"\(3, 2\), ids give \(2, 2\)"):
+        with pytest.raises(MatrixError, match=r"^counts shape \(3, 2\), ids give \(2, 2\)$"):
             DocConceptMatrix(doc_ids=("a", "b"), concept_ids=("C1", "C2"), counts=counts)
         with pytest.raises(MatrixError, match=r"\(3, 2\), ids give \(2, 2\)"):
             CoocMatrix(concept_ids=("C1", "C2"), counts=counts)

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zlib
 from dataclasses import fields
 
 import pytest
@@ -63,6 +64,22 @@ def assert_stage_eval_is_fresh(config_path, *flags):
 
 def _fail_training(*args, **kwargs):
     raise RuntimeError("training failed")
+
+
+def _digest_line(out):
+    """The second line of the output tree's stamp, parsed."""
+    return json.loads((out / FINGERPRINT).read_text(encoding="utf-8").splitlines()[1])
+
+
+def _drop_last_line(path):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+
+
+def _cut_to_100_bytes(path):
+    data = path.read_bytes()
+    assert len(data) > 100
+    path.write_bytes(data[:100])
 
 
 def test_select_concepts_is_leaves_plus_group_closure(tmp_path):
@@ -168,7 +185,7 @@ def test_artifact_stage_mapping():
     assert stage_of("metrics.json") == "eval"
 
 
-def test_cached_matrix_must_fit_its_id_files(tmp_path, capsys):
+def test_cached_matrix_must_fit_its_id_files(tmp_path):
     corpus = [
         {"id": "a", "text": "child abuse and child neglect at home."},
         {"id": "b", "text": "bullying and child neglect."},
@@ -176,13 +193,9 @@ def test_cached_matrix_must_fit_its_id_files(tmp_path, capsys):
     config_path = write_inputs(tmp_path, corpus, [])
     config = load_config(config_path)
     run_pipeline(config, upto="matrix")
-    doc_order_path = config.output_dir / "doc_order.txt"
-    doc_order = doc_order_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    doc_order_path.write_text("".join(doc_order[:-1]), encoding="utf-8")
-    with pytest.raises(PipelineError, match=r"stage matrix: counts shape \(2, 3\)"):
-        run_pipeline(config, upto="score")
-    assert main(["run", "--config", str(config_path), "--stage", "score"]) == 1
-    assert "stage matrix" in capsys.readouterr().err
+    # One id short of the matrix rows: the stamp no longer vouches for it.
+    _drop_last_line(config.output_dir / "doc_order.txt")
+    assert_stage_eval_is_fresh(config_path)
 
 
 TINY_CORPUS = [
@@ -244,7 +257,7 @@ def test_unknown_expand_group_fails(tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
-def test_cached_scores_must_hold_the_cached_mentions(tmp_path, capsys):
+def test_cached_scores_must_hold_the_cached_mentions(tmp_path):
     config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
     config = load_config(config_path)
     run_pipeline(config)
@@ -252,21 +265,10 @@ def test_cached_scores_must_hold_the_cached_mentions(tmp_path, capsys):
     lines = scored_path.read_text(encoding="utf-8").splitlines(keepends=True)
     # Cut at a line boundary: every line parses, one mention is missing.
     scored_path.write_text("".join(lines[:-1]), encoding="utf-8")
-    message = (
-        "stage score: cached scored_raw.jsonl does not hold the mentions of "
-        "mentions.jsonl; rerun without --stage"
-    )
-    with pytest.raises(PipelineError, match=message):
-        run_pipeline(config, upto="eval")
-    assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 1
-    assert message in capsys.readouterr().err
-
-    # Cut partway through the last line: the reader names the file and line.
+    assert_stage_eval_is_fresh(config_path)
+    # Cut partway through the last line: no line past the cut is read.
     scored_path.write_text("".join(lines)[:-20], encoding="utf-8")
-    with pytest.raises(
-        PipelineError, match=f"stage score: .*scored_raw.jsonl: line {len(lines)}: invalid JSON"
-    ):
-        run_pipeline(config, upto="eval")
+    assert_stage_eval_is_fresh(config_path)
 
 
 NEGATED_CORPUS = [
@@ -339,25 +341,72 @@ def test_cached_label_files_must_be_the_sweeps(tmp_path):
     assert len((tmp_path / "out" / "pr_raw.csv").read_text(encoding="utf-8").splitlines()) == 4
 
 
-def test_cached_label_files_must_all_be_there(tmp_path, capsys):
+def test_cached_label_files_must_all_be_there(tmp_path):
     config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
     run_pipeline(load_config(config_path))
     labels = tmp_path / "out" / "labels_raw"
     kept = (labels / "threshold_0.5.csv").read_bytes()
-    message = (
-        "stage score: cached labels_raw does not hold the label files of the "
-        "sweep; rerun without --stage"
-    )
-    argv = ["run", "--config", str(config_path), "--stage", "eval"]
     (labels / "threshold_0.5.csv").unlink()
-    assert main(argv) == 1
-    assert message in capsys.readouterr().err
-    (labels / "threshold_0.5.csv").write_bytes(kept)
-    (labels / "threshold_0.33.csv").write_bytes(kept)
-    assert main(argv) == 1
-    assert message in capsys.readouterr().err
-    (labels / "threshold_0.33.csv").unlink()
     assert_stage_eval_is_fresh(config_path)
+    (labels / "threshold_0.33.csv").write_bytes(kept)
+    assert_stage_eval_is_fresh(config_path)
+    assert not (labels / "threshold_0.33.csv").exists()
+
+
+# One damaged cached file each: (file, damage). Every read-back stage has one.
+DAMAGED_FILES = {
+    "mentions": ("mentions.jsonl", _drop_last_line),
+    "doc_order": ("doc_order.txt", _drop_last_line),
+    "autoencoder": ("autoencoder.json", _cut_to_100_bytes),
+    "scored": ("scored_raw.jsonl", _drop_last_line),
+    "label_cut": ("labels_raw/threshold_0.5.csv", _cut_to_100_bytes),
+    "label_deleted": ("labels_raw/threshold_0.5.csv", lambda path: path.unlink()),
+    "label_extra": (
+        "labels_raw/threshold_0.5.csv",
+        lambda path: shutil.copy(path, path.with_name("threshold_0.33.csv")),
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_FILES))
+def test_a_damaged_cached_file_is_recomputed(tmp_path, damage):
+    name, damage_file = DAMAGED_FILES[damage]
+    config_path = write_inputs(tmp_path, NEGATED_CORPUS, [], TINY_AE)
+    assert main(["run", "--config", str(config_path)]) == 0
+    damage_file(tmp_path / "out" / name)
+    assert_stage_eval_is_fresh(config_path)
+
+
+@pytest.mark.parametrize(
+    "digest_line", ["", '{"mentions.jsonl": [1', "[]\n"], ids=["none", "cut", "not_an_object"]
+)
+def test_an_old_or_garbled_stamp_recomputes(tmp_path, monkeypatch, digest_line):
+    config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
+    assert main(["run", "--config", str(config_path)]) == 0
+    stamp = tmp_path / "out" / FINGERPRINT
+    settings = stamp.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    stamp.write_text(settings + digest_line, encoding="utf-8")
+    trained, train = [], ae.train
+    monkeypatch.setattr(ae, "train", lambda *args: trained.append(args) or train(*args))
+    assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 0
+    assert len(trained) == 1
+    assert_stage_eval_is_fresh(config_path)
+
+
+def test_the_stamp_names_every_file_a_stage_reads_back(tmp_path):
+    config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path)]) == 0
+    # eval, the last stage, is the one whose files are never read back.
+    read_back = {
+        name: [len(data), zlib.crc32(data)]
+        for name, data in tree(out).items()
+        if stage_of(name.split("/")[0]) in STAGES[:-1]
+    }
+    assert {stage_of(name.split("/")[0]) for name in read_back} == set(STAGES[:-1])
+    assert _digest_line(out) == read_back
+    assert main(["run", "--config", str(config_path), "--stage", "ner"]) == 0
+    assert _digest_line(out) == {"mentions.jsonl": read_back["mentions.jsonl"]}
 
 
 # One changed input or setting each: (file, text in it, replacement, flags).
@@ -410,8 +459,9 @@ def test_fingerprint_holds_every_setting_the_outputs_depend_on(tmp_path, monkeyp
     argv = ["run", "--config", str(config_path), "--stage", "ner"]
     assert main(argv) == 0
     stamp = (tmp_path / "out" / FINGERPRINT).read_bytes()
+    settings = stamp.splitlines()[0]
     unused = {"output_dir", "gold_path", "threads"}
-    assert set(json.loads(stamp)) == {f.name for f in fields(PipelineConfig)} - unused
+    assert set(json.loads(settings)) == {f.name for f in fields(PipelineConfig)} - unused
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--threads", "4"]) == 0
     assert main([*argv, "--output", "relative"]) == 0
@@ -429,7 +479,8 @@ def test_a_failed_stage_leaves_no_fingerprint(tmp_path, monkeypatch, capsys):
         patch.setattr(ae, "train", _fail_training)
         assert main(["run", "--config", str(config_path)]) == 1
     assert "stage autoencoder: training failed" in capsys.readouterr().err
-    assert not (tmp_path / "out" / FINGERPRINT).exists()
+    # The stamp vouches for the stages this run finished, not for the old model.
+    assert {stage_of(name) for name in _digest_line(tmp_path / "out")} == {"ner", "matrix"}
     write_inputs(tmp_path, NEGATED_CORPUS, [], TINY_AE)
     assert_stage_eval_is_fresh(config_path)
 
