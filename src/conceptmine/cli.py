@@ -175,10 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args, config)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

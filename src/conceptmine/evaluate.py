@@ -53,16 +53,6 @@ class GoldAnnotation:
     concept_id: ConceptId | None
     label: str
 
-    def __post_init__(self) -> None:
-        if self.label not in GOLD_LABELS:
-            raise GoldError(
-                f"label {self.label!r} not in {', '.join(GOLD_LABELS)}"
-            )
-        if self.start < 0 or self.end <= self.start:
-            raise GoldError(
-                f"invalid span [{self.start}, {self.end}) for doc {self.doc_id!r}"
-            )
-
     @property
     def is_true(self) -> bool:
         return self.label in GOLD_TRUE_LABELS
@@ -99,9 +89,10 @@ class PRPoint:
 
 
 def load_gold(path: str | Path, corpus: Corpus | None = None) -> list[GoldAnnotation]:
-    """Read gold JSONL, checking field types as the module says; with a
-    corpus, each span's doc must be in it and the span within the doc's
-    text. A bad line raises :class:`GoldError` as ``<path>: line N: <reason>``."""
+    """Read gold JSONL, checking field types as the module says, then the
+    label and the span; with a corpus, each span's doc must be in it and the
+    span within the doc's text. A bad line raises :class:`GoldError` as
+    ``<path>: line N: <reason>``. :class:`GoldAnnotation` checks nothing."""
     lengths = None if corpus is None else {d.doc_id: len(d.text) for d in corpus.docs}
     gold: list[GoldAnnotation] = []
     for line_no, record in read_records(path, GoldError, ("doc_id", "start", "end", "label")):
@@ -112,23 +103,21 @@ def load_gold(path: str | Path, corpus: Corpus | None = None) -> list[GoldAnnota
                 if type(value) is not kind and (value is not None or key != "concept_id"):
                     what = "an integer" if kind is int else "a string"
                     raise GoldError(f"{key} must be {what}, got {value!r}")
-            g = GoldAnnotation(
-                doc_id=record["doc_id"],
-                start=record["start"],
-                end=record["end"],
-                concept_id=record.get("concept_id"),
-                label=record["label"],
-            )
-            if lengths is not None and g.doc_id not in lengths:
-                raise GoldError(f"gold references unknown doc {g.doc_id!r}")
-            if lengths is not None and g.end > lengths[g.doc_id]:
+            doc_id, start, end, label = map(record.get, ("doc_id", "start", "end", "label"))
+            if label not in GOLD_LABELS:
+                raise GoldError(f"label {label!r} not in {', '.join(GOLD_LABELS)}")
+            if start < 0 or end <= start:
+                raise GoldError(f"invalid span [{start}, {end}) for doc {doc_id!r}")
+            if lengths is not None and doc_id not in lengths:
+                raise GoldError(f"gold references unknown doc {doc_id!r}")
+            if lengths is not None and end > lengths[doc_id]:
                 raise GoldError(
-                    f"gold span [{g.start}, {g.end}) out of bounds for doc "
-                    f"{g.doc_id!r} of length {lengths[g.doc_id]}"
+                    f"gold span [{start}, {end}) out of bounds for doc "
+                    f"{doc_id!r} of length {lengths[doc_id]}"
                 )
-        except (TypeError, ValueError) as exc:
+        except GoldError as exc:
             raise GoldError(f"{path}: line {line_no}: {exc}") from exc
-        gold.append(g)
+        gold.append(GoldAnnotation(doc_id, start, end, record.get("concept_id"), label))
     return gold
 
 

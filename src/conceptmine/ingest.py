@@ -1,9 +1,10 @@
 """Corpus loading, and the JSONL record codec every JSONL file uses.
 
 One JSON object per line with required string fields ``id`` and ``text``;
-any other fields are preserved as string metadata. Documents are kept in
-canonical (doc_id-sorted) order so matrix row i always means the i-th
-document regardless of input line order.
+any other fields are preserved as string metadata. A :class:`Corpus`
+keeps its documents in canonical (doc_id-sorted) order, however they were
+given, so matrix row i always means the i-th document regardless of input
+line order.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
-
-ConceptId = str
 
 
 class CorpusError(ValueError):
@@ -32,9 +31,9 @@ class Corpus:
     docs: tuple[Document, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {d.doc_id: i for i, d in enumerate(self.docs)}
-        )
+        docs = tuple(sorted(self.docs, key=lambda d: d.doc_id))
+        object.__setattr__(self, "docs", docs)
+        object.__setattr__(self, "_index", {d.doc_id: i for i, d in enumerate(docs)})
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -121,7 +120,6 @@ def load_corpus(path: str | Path) -> Corpus:
             if key not in ("id", "text")
         }
         docs.append(Document(doc_id=doc_id, text=text, meta=meta))
-    docs.sort(key=lambda d: d.doc_id)
     return Corpus(docs=tuple(docs))
 
 

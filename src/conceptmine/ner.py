@@ -109,13 +109,11 @@ def _match(
         (starts[i], ends[stop - 1], concepts)
         for i, stop, concepts in _ngram_hits(folded, vocab.terms, vocab.longest)
     ]
-    mentions = [
+    return [
         Mention(doc.doc_id, cid, start, end, doc.text[start:end])
         for start, end, concepts in _resolve_overlaps(candidates)
         for cid in concepts
     ]
-    mentions.sort(key=lambda m: (m.start, m.concept_id))
-    return mentions
 
 
 def _ngram_hits(
@@ -136,20 +134,15 @@ def _ngram_hits(
 def _resolve_overlaps(
     candidates: list[tuple[int, int, tuple[ConceptId, ...]]]
 ) -> list[tuple[int, int, tuple[ConceptId, ...]]]:
-    ordered = sorted(candidates, key=lambda c: (c[0] - c[1], c[0]))
-    # Accepted spans never overlap, so sorted by start they are sorted by
-    # end too: only the last one starting at or before a candidate and the
-    # first one starting after it can overlap the candidate.
-    accepted: list[tuple[int, int, tuple[ConceptId, ...]]] = []
-    accepted_starts: list[int] = []
-    for start, end, concepts in ordered:
-        i = bisect_right(accepted_starts, start)
-        if (i and accepted[i - 1][1] > start) or (
-            i < len(accepted) and accepted_starts[i] < end
-        ):
-            continue
-        accepted.insert(i, (start, end, concepts))
-        accepted_starts.insert(i, start)
+    """The candidates kept, by start: longest first, then earliest, each
+    is kept unless a kept one already holds one of its characters."""
+    held = bytearray(max((end for _, end, _ in candidates), default=0))
+    accepted = []
+    for start, end, concepts in sorted(candidates, key=lambda c: (c[0] - c[1], c[0])):
+        if held.find(1, start, end) < 0:
+            held[start:end] = b"\1" * (end - start)
+            accepted.append((start, end, concepts))
+    accepted.sort(key=itemgetter(0))
     return accepted
 
 
@@ -234,8 +227,9 @@ def find_corpus_mentions(
     equal characters, ``workers = min(threads, documents, CPUs)``, or 1
     where ``os.fork`` is missing. This process finds the first chunk's
     mentions while a forked child finds each other chunk's and sends them
-    back pickled over a pipe; one worker forks nothing. An exception in a
-    child is raised here with its type and message. Every child has been
+    back pickled over a pipe; one worker forks nothing. The chunks join in
+    the corpus's doc_id order, so the result needs no sort. An exception in
+    a child is raised here with its type and message. Every child has been
     waited for when this returns or raises. Children run no numpy code, so
     forking a process that holds numpy's idle BLAS threads is safe.
     """
@@ -277,7 +271,6 @@ def find_corpus_mentions(
             reader.close()
         for pid, _ in children:
             os.waitpid(pid, 0)
-    mentions.sort(key=Mention.sort_key)
     return mentions
 
 

@@ -240,8 +240,6 @@ def generate(
     for j in range(2):
         docs.append(Document(doc_id=f"post-empty-{j}", text="", meta={}))
 
-    docs.sort(key=lambda d: d.doc_id)
-    gold.sort(key=lambda g: (g.doc_id, g.start, g.end, g.label))
     return Corpus(docs=tuple(docs)), gold
 
 

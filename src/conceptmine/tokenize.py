@@ -1,4 +1,5 @@
-"""Offset-preserving tokenizer shared by term compilation and matching."""
+"""Offset-preserving tokenizer shared by term compilation and matching:
+:func:`token_columns` is the one tokenizer, and the other functions read it."""
 
 from __future__ import annotations
 
@@ -23,16 +24,14 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     """Split ``text`` into tokens with exact [start, end) offsets."""
-    return [
-        Token(text=m.group(), start=m.start(), end=m.end())
-        for m in _TOKEN_RE.finditer(text)
-    ]
+    starts, ends, _ = token_columns(text)
+    return [Token(text[start:end], start, end) for start, end in zip(starts, ends)]
 
 
 def token_columns(text: str) -> tuple[list[int], list[int], list[str]]:
     """Start offsets, end offsets and case-folded texts of the tokens of
-    ``text``: the per-document form of :func:`tokenize` that matching and
-    filtering share."""
+    ``text``: the one tokenizer, which matching, filtering, term
+    compilation and :func:`tokenize` share."""
     # parts = [gap, token, gap, ..., token, gap]; the running lengths are
     # then start, end, start, ..., end, len(text).
     parts = _SPLIT_RE.split(text)
@@ -42,4 +41,4 @@ def token_columns(text: str) -> tuple[list[int], list[int], list[str]]:
 
 def fold_term_tokens(term: str) -> tuple[str, ...]:
     """Case-folded token texts of a vocabulary term."""
-    return tuple(m.group().lower() for m in _TOKEN_RE.finditer(term))
+    return tuple(token_columns(term)[2])

@@ -644,6 +644,19 @@ class TestForkedWorkers:
                 assert got == expected, (threads, len(corpus))
         assert_no_child_left()
 
+    def test_corpus_order_is_doc_id_order(self, nested_vocab):
+        # The corpus sorts its documents, so the workers' chunks join in
+        # canonical order with no sort of the mentions.
+        _, vocab = nested_vocab
+        corpus = Corpus((Document("b", "no mood swings, self harm"), Document("a", "mood")))
+        assert [doc.doc_id for doc in corpus.docs] == ["a", "b"]
+        assert [corpus.index_of(doc_id) for doc_id in "ab"] == [0, 1]
+        expected = reference_corpus_mentions(corpus, vocab, self.RULES)
+        assert {m.doc_id for m in expected} == {"a", "b"}
+        for threads in (1, 2):
+            assert find_corpus_mentions(corpus, vocab, self.RULES, threads=threads) == expected
+        assert_no_child_left()
+
     @pytest.mark.parametrize("failing", [0, 3, 5])
     def test_a_worker_exception_is_raised_here(self, monkeypatch, nested_vocab, failing):
         _, vocab = nested_vocab
