@@ -95,7 +95,8 @@ def load_corpus(path: str | Path) -> Corpus:
 
     Raises :class:`CorpusError` naming the file and the 1-based line for
     malformed JSON, missing/non-string ``id``/``text`` fields, a doc id
-    holding a newline and duplicate doc ids.
+    holding a newline or a lone surrogate (which no output file can hold)
+    and duplicate doc ids.
     """
     docs: list[Document] = []
     seen: dict[str, int] = {}
@@ -106,6 +107,12 @@ def load_corpus(path: str | Path) -> Corpus:
             raise CorpusError(f"{path}: line {line_no}: missing or non-string 'id'")
         if "\n" in doc_id:
             raise CorpusError(f"{path}: line {line_no}: doc id {doc_id!r} holds a newline")
+        try:
+            doc_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise CorpusError(
+                f"{path}: line {line_no}: doc id {doc_id!r} is not valid UTF-8"
+            ) from None
         if not isinstance(text, str):
             raise CorpusError(f"{path}: line {line_no}: missing or non-string 'text'")
         if doc_id in seen:

@@ -56,6 +56,15 @@ def test_doc_id_with_newline_is_error(tmp_path):
         load_corpus(path)
 
 
+def test_doc_id_with_lone_surrogate_is_error(tmp_path):
+    # A JSON escape can name a lone surrogate, which no UTF-8 output file
+    # can hold: loading fails on it, not a later stage's writer.
+    path = write_jsonl(tmp_path / "bad.jsonl", [{"id": "a\ud800", "text": "one"}])
+    message = f"{path}: line 1: doc id 'a\\ud800' is not valid UTF-8"
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        load_corpus(path)
+
+
 def test_malformed_line_reports_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "text": "ok"}\n{not json\n', encoding="utf-8")
