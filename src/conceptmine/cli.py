@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from .config import OVERRIDES, ConfigError, PipelineConfig, load_config
 from .evaluate import read_pr_csv
@@ -91,23 +92,30 @@ def cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
     return 0
 
 
-def _require(path: Path) -> Path:
+def _read(path: Path, read: Callable[[Path], Any]) -> Any:
+    """``read(path)``; a missing file or one that does not parse fails as
+    the stage that writes it, naming the file."""
+    stage = stage_of(path.name)
     if not path.is_file():
-        raise PipelineError(
-            stage_of(path.name),
-            f"missing artifact {path.name}; run `conceptmine run` first",
-        )
-    return path
+        raise PipelineError(stage, f"missing artifact {path.name}; run `conceptmine run` first")
+    try:
+        return read(path)
+    except json.JSONDecodeError as exc:
+        reason = f"line {exc.lineno}: invalid JSON ({exc.msg})"
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = str(exc)
+    raise PipelineError(stage, f"{path}: {reason}")
+
+
+def _read_json(path: Path) -> Any:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def cmd_report(args: argparse.Namespace, config: PipelineConfig) -> int:
     root = config.output_dir
-    metrics = json.loads(_require(root / "metrics.json").read_text(encoding="utf-8"))
-    auc = json.loads(_require(root / "auc_summary.json").read_text(encoding="utf-8"))
-    curves = {
-        space: read_pr_csv(_require(root / f"pr_{space}.csv"))
-        for space in ("raw", "encoded")
-    }
+    metrics = _read(root / "metrics.json", _read_json)
+    auc = _read(root / "auc_summary.json", _read_json)
+    curves = {space: _read(root / f"pr_{space}.csv", read_pr_csv) for space in ("raw", "encoded")}
     lexicon = load_lexicon(config.lexicon_path)
 
     gold = metrics["gold"]

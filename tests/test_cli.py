@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -332,14 +333,33 @@ class TestCommands:
         assert code == 2
         assert "autoencoder.epochs" in capsys.readouterr().err
 
-    def test_report_without_artifacts_exits_1(self, small_setup, capsys):
+    @pytest.mark.parametrize("damaged, text, reason", [
+        (None, None, "missing artifact metrics.json"),
+        ("metrics.json", '{"gold": ', "line 1: invalid JSON (Expecting value)"),
+        ("auc_summary.json", "{", "line 1: invalid JSON"),
+        ("pr_raw.csv", "threshold,precision,recall\n0.5,x,0.1\n", "could not convert"),
+    ], ids=["never_ran", "metrics.json", "auc_summary.json", "pr_raw.csv"])
+    def test_report_without_artifacts_exits_1(
+        self, small_setup, capsys, tmp_path, damaged, text, reason
+    ):
+        out_dir = small_setup / "never_ran"
+        if damaged is not None:
+            full = small_setup / "full"
+            if not (full / "metrics.json").is_file():
+                main(["run", "--config", str(small_setup / "config.ini"), "--output", str(full)])
+            out_dir = tmp_path / "out"
+            shutil.copytree(full, out_dir)
+            (out_dir / damaged).write_text(text, encoding="utf-8")
+        capsys.readouterr()
         code = main(
             ["report", "--config", str(small_setup / "config.ini"),
-             "--output", str(small_setup / "never_ran")]
+             "--output", str(out_dir)]
         )
         err = capsys.readouterr().err
         assert code == 1
         assert "stage eval" in err
+        where = "" if damaged is None else f"{out_dir / damaged}: "
+        assert f"error: stage eval: {where}{reason}" in err
 
     def test_empty_gold_reports_warning(self, small_setup, capsys, tmp_path):
         empty_gold = small_setup / "empty_gold.jsonl"
