@@ -122,7 +122,8 @@ def _check_clean(vocab: Vocabulary, sentences: list[str], what: str) -> None:
 def generate(
     lexicon: Lexicon, spec: SynthSpec = SynthSpec()
 ) -> tuple[Corpus, list[GoldAnnotation]]:
-    """Build the synthetic corpus and its programmatic gold annotations."""
+    """Build the synthetic corpus and its programmatic gold annotations,
+    the gold in generation order (:func:`write_gold` sorts what it writes)."""
     theme_names = sorted(THEMES)
     for theme in theme_names:
         for cid in THEMES[theme]:
