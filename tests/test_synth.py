@@ -1,10 +1,28 @@
 import numpy as np
+import pytest
 
 from conceptmine.evaluate import write_gold
 from conceptmine.ingest import load_corpus, save_corpus
 from conceptmine.lexicon import build_vocabulary, load_lexicon
 from conceptmine.ner import find_mentions
+from conceptmine.pipeline import _digests
 from conceptmine.synth import THEMES, SynthSpec, generate
+
+# ``[size, CRC-32]`` of the corpus and gold files ``generate`` makes for
+# small specs. With few documents most theme concepts are never drawn, so
+# these cover the ``post-fill-*`` documents: 37 of them at 0 docs, 26-31 at
+# 3, none at 40 (nor in the bundled corpus).
+SMALL_PINS = {
+    (0, 0): ([11402, 1450818203], [13125, 3556782950]),
+    (0, 1): ([11428, 14734681], [13199, 670407923]),
+    (0, 2): ([11475, 437804365], [13212, 3801416192]),
+    (3, 0): ([9242, 1457907836], [10787, 1555538844]),
+    (3, 1): ([11190, 4178411164], [13267, 1913180630]),
+    (3, 2): ([9632, 3455665069], [11070, 3936583143]),
+    (40, 0): ([14983, 1755623143], [19173, 1697064104]),
+    (40, 1): ([15319, 235658695], [19883, 4054781988]),
+    (40, 2): ([14981, 2671149522], [19113, 2332400497]),
+}
 
 
 def test_generation_is_deterministic(data_dir):
@@ -26,6 +44,16 @@ def test_bundled_files_match_regeneration(data_dir, tmp_path):
     assert (tmp_path / "gold.jsonl").read_bytes() == (
         data_dir / "gold.jsonl"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(("n_docs", "seed"), sorted(SMALL_PINS))
+def test_small_specs_keep_their_bytes(data_dir, tmp_path, n_docs, seed):
+    lexicon = load_lexicon(data_dir / "lexicon.csv")
+    corpus, gold = generate(lexicon, SynthSpec(n_docs=n_docs, seed=seed))
+    save_corpus(corpus, tmp_path / "corpus.jsonl")
+    write_gold(gold, tmp_path / "gold.jsonl")
+    digests = _digests(tmp_path, [tmp_path / "corpus.jsonl", tmp_path / "gold.jsonl"])
+    assert (digests["corpus.jsonl"], digests["gold.jsonl"]) == SMALL_PINS[n_docs, seed]
 
 
 def test_gold_spans_align_with_matcher_output(data_dir):
