@@ -107,8 +107,41 @@ def _read(path: Path, read: Callable[[Path], Any]) -> Any:
     raise PipelineError(stage, f"{path}: {reason}")
 
 
+# The numbers ``report`` prints from each JSON artifact; ``*`` is every key
+# of an object.
+_REPORT_FIELDS = {
+    "metrics.json": (
+        *(f"gold.{key}" for key in ("total", "true", "not_aces")),
+        *(f"baseline.{key}" for key in ("precision", "recall", "f1", "tp", "fp", "fn")),
+        *(f"per_concept.*.{key}" for key in ("precision", "recall", "f1", "support")),
+    ),
+    "auc_summary.json": ("raw", "encoded", "gap"),
+}
+
+
 def _read_json(path: Path) -> Any:
-    return json.loads(path.read_text(encoding="utf-8"))
+    """The JSON in ``path``, checked to hold every number the report prints
+    from it, so that a bad file fails before any output."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    for field in _REPORT_FIELDS[path.name]:
+        _check_number(data, field.split("."), [])
+    return data
+
+
+def _check_number(value: Any, keys: list[str], seen: list[str]) -> None:
+    name = ".".join(seen)
+    if not keys:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"field {name!r} is not a number")
+    elif not isinstance(value, dict):
+        raise ValueError(f"field {name!r} is not an object" if seen else "expected a JSON object")
+    elif keys[0] == "*":
+        for key, item in value.items():
+            _check_number(item, keys[1:], seen + [key])
+    elif keys[0] not in value:
+        raise ValueError(f"missing field {'.'.join(seen + keys[:1])!r}")
+    else:
+        _check_number(value[keys[0]], keys[1:], seen + keys[:1])
 
 
 def cmd_report(args: argparse.Namespace, config: PipelineConfig) -> int:

@@ -95,8 +95,8 @@ def load_corpus(path: str | Path) -> Corpus:
 
     Raises :class:`CorpusError` naming the file and the 1-based line for
     malformed JSON, missing/non-string ``id``/``text`` fields, a doc id
-    holding a newline or a lone surrogate (which no output file can hold)
-    and duplicate doc ids.
+    holding a newline, a doc id or text holding a lone surrogate (which no
+    output file can hold) and duplicate doc ids.
     """
     docs: list[Document] = []
     seen: dict[str, int] = {}
@@ -107,14 +107,13 @@ def load_corpus(path: str | Path) -> Corpus:
             raise CorpusError(f"{path}: line {line_no}: missing or non-string 'id'")
         if "\n" in doc_id:
             raise CorpusError(f"{path}: line {line_no}: doc id {doc_id!r} holds a newline")
-        try:
-            doc_id.encode("utf-8")
-        except UnicodeEncodeError:
-            raise CorpusError(
-                f"{path}: line {line_no}: doc id {doc_id!r} is not valid UTF-8"
-            ) from None
         if not isinstance(text, str):
             raise CorpusError(f"{path}: line {line_no}: missing or non-string 'text'")
+        for what, value in ((f"doc id {doc_id!r}", doc_id), (f"text of doc {doc_id!r}", text)):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusError(f"{path}: line {line_no}: {what} is not valid UTF-8") from None
         if doc_id in seen:
             raise CorpusError(
                 f"{path}: line {line_no}: duplicate doc id {doc_id!r} "

@@ -10,8 +10,11 @@ recorded as a gold annotation:
   that should be rejected),
 - paraphrases the vocabulary cannot match are Manual_ACEs (misses).
 
-Generation is fully deterministic given the seed. Run as a module to
-regenerate the bundled corpus:
+A :class:`SynthSpec` sets only the number of themed documents and the
+seed. Theme concepts no themed document planted get ``post-fill-*``
+documents, and three filler-only and two empty documents close the corpus.
+Generation is fully deterministic given the spec. Run as a module, with
+``--docs`` and ``--seed`` >= 0, to regenerate the bundled corpus:
 
     python -m conceptmine.synth --lexicon data/lexicon.csv --output data
 """
@@ -19,6 +22,7 @@ regenerate the bundled corpus:
 from __future__ import annotations
 
 import argparse
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +30,7 @@ import numpy as np
 
 from .evaluate import GoldAnnotation, write_gold
 from .ingest import Corpus, Document, save_corpus
-from .lexicon import Lexicon, Vocabulary, build_vocabulary, load_lexicon
+from .lexicon import Lexicon, build_vocabulary, load_lexicon
 from .ner import find_mentions
 
 THEMES: dict[str, tuple[str, ...]] = {
@@ -96,27 +100,19 @@ PARAPHRASES: dict[str, tuple[str, ...]] = {
 }
 
 
+PARAPHRASE_TEMPLATE = "she wrote {term} in the post."
+
+NOISE_RATE = 0.3
+PARAPHRASE_RATE = 0.25
+NEGATION_RATE = 0.12
+MIN_MENTIONS = 3
+MAX_MENTIONS = 6
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     n_docs: int = 240
     seed: int = 2024
-    noise_rate: float = 0.3
-    paraphrase_rate: float = 0.25
-    negation_rate: float = 0.12
-    min_mentions: int = 3
-    max_mentions: int = 6
-
-
-def _check_clean(vocab: Vocabulary, sentences: list[str], what: str) -> None:
-    # Fixture text must not accidentally contain vocabulary terms.
-    for sentence in sentences:
-        probe = Document(doc_id="probe", text=sentence)
-        hits = find_mentions(probe, vocab)
-        if hits:
-            raise ValueError(
-                f"{what} {sentence!r} contains vocabulary term "
-                f"{hits[0].surface!r}"
-            )
 
 
 def generate(
@@ -125,119 +121,85 @@ def generate(
     """Build the synthetic corpus and its programmatic gold annotations,
     the gold in generation order (:func:`write_gold` sorts what it writes)."""
     theme_names = sorted(THEMES)
-    for theme in theme_names:
-        for cid in THEMES[theme]:
-            if cid not in lexicon:
-                raise ValueError(f"theme {theme} references unknown concept {cid}")
-    vocab = build_vocabulary(
-        lexicon, {cid for ids in THEMES.values() for cid in ids}
-    )
-    _check_clean(vocab, [t.format(term="thing") for t in TEMPLATES], "template")
-    _check_clean(
-        vocab, [t.format(term="thing") for t in NEGATION_TEMPLATES], "template"
-    )
-    _check_clean(vocab, list(FILLERS), "filler")
-    _check_clean(
-        vocab,
-        [f"she wrote {p} in the post." for ps in PARAPHRASES.values() for p in ps],
-        "paraphrase",
-    )
+    planted = {cid for ids in THEMES.values() for cid in ids}
+    vocab = build_vocabulary(lexicon, planted)
+    # Fixture text must not accidentally contain vocabulary terms.
+    paraphrases = [p for ps in PARAPHRASES.values() for p in ps]
+    for what, sentences in (
+        ("template", [t.format(term="thing") for t in TEMPLATES + NEGATION_TEMPLATES]),
+        ("filler", FILLERS),
+        ("paraphrase", [PARAPHRASE_TEMPLATE.format(term=p) for p in paraphrases]),
+    ):
+        for sentence in sentences:
+            hits = find_mentions(Document(doc_id="probe", text=sentence), vocab)
+            if hits:
+                raise ValueError(
+                    f"{what} {sentence!r} contains vocabulary term {hits[0].surface!r}"
+                )
 
     rng = np.random.default_rng(spec.seed)
     docs: list[Document] = []
     gold: list[GoldAnnotation] = []
     injected_clean: set[str] = set()
 
+    def pick(options: Sequence[str]) -> str:
+        return options[int(rng.integers(len(options)))]
+
     def make_doc(doc_id: str, theme: str, concepts: list[str]) -> None:
         # One sentence per planted mention plus filler; spans recorded
         # while rendering so gold offsets are exact.
         parts: list[tuple[str, str | None, str | None, str | None]] = []
         for cid in concepts:
-            concept = lexicon.get(cid)
-            terms = concept.terms()
-            term = terms[int(rng.integers(len(terms)))].lower()
-            template = TEMPLATES[int(rng.integers(len(TEMPLATES)))]
-            parts.append((template, term, cid, "NLP_TRUE"))
+            term = pick(lexicon.get(cid).terms()).lower()
+            parts.append((pick(TEMPLATES), term, cid, "NLP_TRUE"))
             injected_clean.add(cid)
-        if rng.random() < spec.noise_rate:
-            other_theme = theme_names[int(rng.integers(len(theme_names)))]
+        if rng.random() < NOISE_RATE:
+            other_theme = pick(theme_names)
             if other_theme != theme:
-                noise_cid = THEMES[other_theme][
-                    int(rng.integers(len(THEMES[other_theme])))
-                ]
+                noise_cid = pick(THEMES[other_theme])
                 noise_term = lexicon.get(noise_cid).terms()[0].lower()
-                template = TEMPLATES[int(rng.integers(len(TEMPLATES)))]
-                parts.append((template, noise_term, noise_cid, "Not_ACEs"))
-        if rng.random() < spec.negation_rate:
-            neg_cid = THEMES[theme][int(rng.integers(len(THEMES[theme])))]
+                parts.append((pick(TEMPLATES), noise_term, noise_cid, "Not_ACEs"))
+        if rng.random() < NEGATION_RATE:
+            neg_cid = pick(THEMES[theme])
             neg_term = lexicon.get(neg_cid).terms()[0].lower()
-            template = NEGATION_TEMPLATES[
-                int(rng.integers(len(NEGATION_TEMPLATES)))
-            ]
-            parts.append((template, neg_term, neg_cid, "Not_ACEs"))
-        if rng.random() < spec.paraphrase_rate:
+            parts.append((pick(NEGATION_TEMPLATES), neg_term, neg_cid, "Not_ACEs"))
+        if rng.random() < PARAPHRASE_RATE:
             candidates = [c for c in THEMES[theme] if c in PARAPHRASES]
             if candidates:
-                para_cid = candidates[int(rng.integers(len(candidates)))]
-                options = PARAPHRASES[para_cid]
-                paraphrase = options[int(rng.integers(len(options)))]
-                parts.append(
-                    ("she wrote {term} in the post.", paraphrase, para_cid,
-                     "Manual_ACEs")
-                )
-        parts.append((FILLERS[int(rng.integers(len(FILLERS)))], None, None, None))
+                para_cid = pick(candidates)
+                paraphrase = pick(PARAPHRASES[para_cid])
+                parts.append((PARAPHRASE_TEMPLATE, paraphrase, para_cid, "Manual_ACEs"))
+        parts.append((pick(FILLERS), None, None, None))
         order = rng.permutation(len(parts))
 
         text = ""
         for k in order:
             template, term, cid, label = parts[k]
-            if text:
-                text += " "
+            text += " " if text else ""
             if term is None:
                 text += template
                 continue
-            slot = template.index("{term}")
-            start = len(text) + slot
+            start = len(text) + template.index("{term}")
+            end = start + len(term)
+            gold.append(GoldAnnotation(doc_id, start, end, cid, label))  # type: ignore[arg-type]
             text += template.format(term=term)
-            gold.append(
-                GoldAnnotation(
-                    doc_id=doc_id,
-                    start=start,
-                    end=start + len(term),
-                    concept_id=cid,
-                    label=label,  # type: ignore[arg-type]
-                )
-            )
         docs.append(Document(doc_id=doc_id, text=text, meta={"theme": theme}))
 
     for i in range(spec.n_docs):
-        doc_id = f"post-{i:04d}"
-        theme = theme_names[int(rng.integers(len(theme_names)))]
-        pool = list(THEMES[theme])
-        k = int(rng.integers(spec.min_mentions, spec.max_mentions + 1))
-        k = min(k, len(pool))
-        picks = [pool[j] for j in rng.permutation(len(pool))[:k]]
-        make_doc(doc_id, theme, picks)
+        theme = pick(theme_names)
+        pool = THEMES[theme]
+        k = min(int(rng.integers(MIN_MENTIONS, MAX_MENTIONS + 1)), len(pool))
+        make_doc(f"post-{i:04d}", theme, [pool[j] for j in rng.permutation(len(pool))[:k]])
 
     # Guarantee every theme concept occurs unfiltered at least once.
-    missing = sorted(
-        {cid for ids in THEMES.values() for cid in ids} - injected_clean
-    )
-    for j, cid in enumerate(missing):
+    for j, cid in enumerate(sorted(planted - injected_clean)):
         theme = next(t for t in theme_names if cid in THEMES[t])
         mates = [c for c in THEMES[theme] if c != cid][:2]
         make_doc(f"post-fill-{j:02d}", theme, [cid] + mates)
 
     for j in range(3):
-        docs.append(
-            Document(
-                doc_id=f"post-plain-{j}",
-                text=" ".join(
-                    FILLERS[int(rng.integers(len(FILLERS)))] for _ in range(2)
-                ),
-                meta={"theme": "none"},
-            )
-        )
+        text = " ".join(pick(FILLERS) for _ in range(2))
+        docs.append(Document(doc_id=f"post-plain-{j}", text=text, meta={"theme": "none"}))
     for j in range(2):
         docs.append(Document(doc_id=f"post-empty-{j}", text="", meta={}))
 
@@ -253,6 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--docs", type=int, default=SynthSpec.n_docs)
     parser.add_argument("--seed", type=int, default=SynthSpec.seed)
     args = parser.parse_args(argv)
+    if args.docs < 0 or args.seed < 0:
+        parser.error(f"--docs and --seed must be >= 0, got {args.docs} and {args.seed}")
 
     lexicon = load_lexicon(args.lexicon)
     corpus, gold = generate(lexicon, SynthSpec(n_docs=args.docs, seed=args.seed))

@@ -17,6 +17,13 @@ from conceptmine.synth import SynthSpec, generate
 from conftest import DATA_DIR, REPO_ROOT
 
 
+def _source_trees():
+    """The package's modules, and the AST of each package and benchmark module."""
+    package = sorted((REPO_ROOT / "src" / "conceptmine").glob("*.py"))
+    bench = sorted((REPO_ROOT / "pipebench").glob("*.py"))
+    return package, {path: ast.parse(path.read_text(encoding="utf-8")) for path in package + bench}
+
+
 @pytest.fixture(scope="module")
 def small_setup(tmp_path_factory):
     """A reduced synthetic corpus and config for fast CLI runs."""
@@ -193,9 +200,7 @@ class TestLoadConfig:
         only where a call names it as an attribute, so a field or a dict
         method of the same name does not hide it. Docstrings and tests do
         not count."""
-        package = sorted((REPO_ROOT / "src" / "conceptmine").glob("*.py"))
-        bench = sorted((REPO_ROOT / "pipebench").glob("*.py"))
-        trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package + bench}
+        package, trees = _source_trees()
         used, called = set(), set()
         for node in (node for tree in trees.values() for node in ast.walk(tree)):
             if isinstance(node, ast.Name):
@@ -226,6 +231,40 @@ class TestLoadConfig:
                     if not name.startswith("_") and name not in names
                 ]
         assert unused == []
+
+    def test_every_dataclass_default_is_overridden(self):
+        """A field default that no code in the package or the benchmark ever
+        replaces is a constant, not a setting: each field with a default in
+        a public ``src/`` dataclass is set by some call of that class, by
+        keyword, by position, or through ``*`` or ``**``."""
+        package, trees = _source_trees()
+        fields = {}
+        for node in (n for path in package for n in trees[path].body):
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                fields[node.name] = [
+                    (f.target.id, f.value is not None) for f in node.body
+                    if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                ]
+        overridden = set()
+        for call in (n for tree in trees.values() for n in ast.walk(tree)):
+            if not isinstance(call, ast.Call):
+                continue
+            cls = getattr(call.func, "id", getattr(call.func, "attr", None))
+            names = [name for name, _ in fields.get(cls, [])]
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            ):
+                overridden.update((cls, name) for name in names)
+            overridden.update((cls, name) for name in names[: len(call.args)])
+            overridden.update((cls, k.arg) for k in call.keywords if k.arg in names)
+        constants = [
+            f"{cls}.{name}" for cls, members in fields.items()
+            for name, has_default in members if has_default and (cls, name) not in overridden
+        ]
+        assert constants == []
 
 
 class TestCommands:
@@ -338,7 +377,13 @@ class TestCommands:
         ("metrics.json", '{"gold": ', "line 1: invalid JSON (Expecting value)"),
         ("auc_summary.json", "{", "line 1: invalid JSON"),
         ("pr_raw.csv", "threshold,precision,recall\n0.5,x,0.1\n", "could not convert"),
-    ], ids=["never_ran", "metrics.json", "auc_summary.json", "pr_raw.csv"])
+        ("metrics.json", "{}", "missing field 'gold'"),
+        ("metrics.json", '{"gold": {}}', "missing field 'gold.total'"),
+        ("auc_summary.json", '{"raw": 0.5, "gap": 0.0}', "missing field 'encoded'"),
+    ], ids=[
+        "never_ran", "metrics.json", "auc_summary.json", "pr_raw.csv",
+        "metrics.json-no-gold", "metrics.json-no-total", "auc_summary.json-no-encoded",
+    ])
     def test_report_without_artifacts_exits_1(
         self, small_setup, capsys, tmp_path, damaged, text, reason
     ):
@@ -355,8 +400,9 @@ class TestCommands:
             ["report", "--config", str(small_setup / "config.ini"),
              "--output", str(out_dir)]
         )
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 1
+        assert out == ""
         assert "stage eval" in err
         where = "" if damaged is None else f"{out_dir / damaged}: "
         assert f"error: stage eval: {where}{reason}" in err

@@ -56,12 +56,19 @@ def test_doc_id_with_newline_is_error(tmp_path):
         load_corpus(path)
 
 
-def test_doc_id_with_lone_surrogate_is_error(tmp_path):
+@pytest.mark.parametrize(
+    ("record", "reason"),
+    [
+        ({"id": "a\ud800", "text": "one"}, "doc id 'a\\ud800' is not valid UTF-8"),
+        ({"id": "a", "text": "self\ud800harm"}, "text of doc 'a' is not valid UTF-8"),
+    ],
+    ids=["id", "text"],
+)
+def test_doc_id_with_lone_surrogate_is_error(tmp_path, record, reason):
     # A JSON escape can name a lone surrogate, which no UTF-8 output file
     # can hold: loading fails on it, not a later stage's writer.
-    path = write_jsonl(tmp_path / "bad.jsonl", [{"id": "a\ud800", "text": "one"}])
-    message = f"{path}: line 1: doc id 'a\\ud800' is not valid UTF-8"
-    with pytest.raises(CorpusError, match=re.escape(message)):
+    path = write_jsonl(tmp_path / "bad.jsonl", [record])
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: line 1: {reason}")):
         load_corpus(path)
 
 

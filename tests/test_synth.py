@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from conceptmine.ingest import load_corpus, save_corpus
 from conceptmine.lexicon import build_vocabulary, load_lexicon
 from conceptmine.ner import find_mentions
 from conceptmine.pipeline import _digests
-from conceptmine.synth import THEMES, SynthSpec, generate
+from conceptmine import synth
+from conceptmine.synth import THEMES, SynthSpec, generate, main
 
 # ``[size, CRC-32]`` of the corpus and gold files ``generate`` makes for
 # small specs. With few documents most theme concepts are never drawn, so
@@ -103,3 +106,29 @@ def test_planted_structure_is_observable(data_dir):
     planted = {cid for ids in THEMES.values() for cid in ids}
     assert planted <= observed
     assert len(observed) >= 30
+
+
+@pytest.mark.parametrize(("name", "value", "message"), [
+    ("TEMPLATES", ("{term} and depression.",), "template 'thing and depression.'"),
+    ("FILLERS", ("some depression today.",), "filler 'some depression today.'"),
+    ("PARAPHRASES", {"C3100011": ("mild depression",)},
+     "paraphrase 'she wrote mild depression in the post.'"),
+])
+def test_fixture_text_holding_a_term_is_error(data_dir, monkeypatch, name, value, message):
+    monkeypatch.setattr(synth, name, value)
+    lexicon = load_lexicon(data_dir / "lexicon.csv")
+    reason = f"{message} contains vocabulary term 'depression'"
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        generate(lexicon, SynthSpec(n_docs=1))
+
+
+@pytest.mark.parametrize("option", [["--docs", "-5"], ["--seed", "-1"]])
+def test_negative_docs_or_seed_is_a_usage_error(data_dir, tmp_path, capsys, option):
+    args = ["--lexicon", str(data_dir / "lexicon.csv"), "--output", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(args + option)
+    assert exit_info.value.code == 2
+    assert "--docs and --seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(args + ["--docs", "0"]) == 0
+    assert "wrote 42 documents" in capsys.readouterr().out
