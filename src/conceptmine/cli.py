@@ -129,19 +129,20 @@ def _read_json(path: Path) -> Any:
 
 
 def _check_number(value: Any, keys: list[str], seen: list[str]) -> None:
-    name = ".".join(seen)
+    """Raise ValueError unless ``value`` holds a number at the path ``keys``,
+    where ``*`` is every key; ``seen`` is the path walked so far."""
     if not keys:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"field {name!r} is not a number")
-    elif not isinstance(value, dict):
-        raise ValueError(f"field {name!r} is not an object" if seen else "expected a JSON object")
-    elif keys[0] == "*":
-        for key, item in value.items():
-            _check_number(item, keys[1:], seen + [key])
-    elif keys[0] not in value:
-        raise ValueError(f"missing field {'.'.join(seen + keys[:1])!r}")
-    else:
-        _check_number(value[keys[0]], keys[1:], seen + keys[:1])
+            raise ValueError(f"field {'.'.join(seen)!r} is not a number")
+        return
+    if not isinstance(value, dict):
+        where = f"field {'.'.join(seen)!r} is not" if seen else "expected"
+        raise ValueError(f"{where} a JSON object")
+    key, rest = keys[0], keys[1:]
+    if key != "*" and key not in value:
+        raise ValueError(f"missing field {'.'.join(seen + [key])!r}")
+    for name in value if key == "*" else [key]:
+        _check_number(value[name], rest, seen + [name])
 
 
 def cmd_report(args: argparse.Namespace, config: PipelineConfig) -> int:

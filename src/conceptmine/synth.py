@@ -143,6 +143,7 @@ def generate(
     injected_clean: set[str] = set()
 
     def pick(options: Sequence[str]) -> str:
+        # All draws share one stream, so reordering them changes the output.
         return options[int(rng.integers(len(options)))]
 
     def make_doc(doc_id: str, theme: str, concepts: list[str]) -> None:
