@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import os
 import shutil
@@ -520,6 +521,51 @@ def test_a_cached_rerun_holds_one_object_per_mention(tmp_path, monkeypatch):
     for scored in seen["pr_sweep"]:
         assert len(scored) == len(predicted) > 0
         assert all(s.mention is m for s, (m, _) in zip(scored, predicted))
+
+
+# "child abuse" names two concepts, whose ids sort apart from their numbers;
+# "neglect" lies inside "child neglect".
+SHARED_TERM_LEXICON = [
+    "C9,child abuse,true,,",
+    "C10,child abuse,true,,",
+    "C2,child neglect,true,,",
+    "C3,neglect,true,,",
+    "C4,bullying,true,,",
+]
+# Out of doc_id order, with ids the label files must quote.
+UNORDERED_CORPUS = [
+    {"id": "b,2", "text": "no bullying, just child neglect and child abuse."},
+    {"id": "a10", "text": "child abuse and child neglect, then neglect."},
+    {"id": 'a"1', "text": "neglect, bullying and child abuse again."},
+    {"id": "a2", "text": "child neglect"},
+    {"id": "c 3", "text": "bullying and neglect."},
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_every_per_mention_file_holds_the_mentions_in_one_order(tmp_path, threads):
+    config_path = write_inputs(
+        tmp_path, UNORDERED_CORPUS, [],
+        TINY_AE + "[lexicon]\nexpand_groups =\n[selflabel]\nthresholds = 0, 0.5, 1\n",
+    )
+    write_lexicon_csv(tmp_path / "lexicon.csv", SHARED_TERM_LEXICON)
+    out = tmp_path / "out"
+    for stage in ([], ["--stage", "score"], ["--stage", "eval"]):
+        assert main(["run", "--config", str(config_path), "--threads", threads, *stage]) == 0
+        mentions = read_mentions(out / "mentions.jsonl")
+        order = [(m.doc_id, m.start, m.concept_id) for m in mentions]
+        assert order == sorted(set(order))
+        assert ("a10", 0, "C10") in order and ("a10", 0, "C9") in order
+        rows = [(m.doc_id, m.start, m.end, m.concept_id) for m in mentions]
+        for space in ("raw", "encoded"):
+            lines = (out / f"scored_{space}.jsonl").read_text(encoding="utf-8").splitlines()
+            records = [json.loads(line) for line in lines]
+            assert [(r["doc_id"], r["start"], r["end"], r["concept_id"]) for r in records] == rows
+            for tau in ("0", "0.5", "1"):
+                path = out / f"labels_{space}" / f"threshold_{tau}.csv"
+                with path.open(encoding="utf-8", newline="") as handle:
+                    data = list(csv.reader(handle))[1:]
+                assert [(d, int(s), int(e), c) for d, s, e, c, _, _ in data] == rows
 
 
 def _traced_artifacts():
