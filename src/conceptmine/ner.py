@@ -220,8 +220,10 @@ def find_corpus_mentions(
     rules: FilterRules | None = None,
     threads: int = 1,
 ) -> list[Mention]:
-    """Match and filter every document, in canonical (doc_id, start,
-    concept_id) order, tokenizing each once for both.
+    """Match and filter every document, tokenizing each once for both, in
+    (doc_id, start, concept_id) order. This is that order's one home: the
+    writers of the mention, scored and label files keep the order given,
+    so line k of each file is the same mention.
 
     The documents are split into ``workers`` contiguous chunks of about
     equal characters, ``workers = min(threads, documents, CPUs)``, or 1
@@ -347,7 +349,8 @@ def mention_from_record(record: dict[str, object]) -> Mention:
 
 
 def write_mentions(mentions: Iterable[Mention], path: str | Path) -> None:
-    write_records(map(mention_record, sorted(mentions, key=Mention.sort_key)), path)
+    """Write one record per mention, in the order given."""
+    write_records(map(mention_record, mentions), path)
 
 
 def read_mentions(path: str | Path) -> list[Mention]:

@@ -126,6 +126,18 @@ def select_concepts(lexicon: Lexicon, expand_groups: tuple[str, ...]) -> set[Con
     return leaves | expanded
 
 
+def _lexicon_step(
+    lexicon: Lexicon, config: PipelineConfig
+) -> tuple[Vocabulary, set[ConceptId], set[ConceptId], set[ConceptId]]:
+    """Select the concepts and write their ids to ``selected_concepts.txt``;
+    return their vocabulary and the leaf, root and expanded sets."""
+    leaves, roots, expanded = _selection(lexicon, config.expand_groups)
+    vocab = build_vocabulary(lexicon, leaves | expanded)
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    write_id_file(sorted(leaves | expanded), config.output_dir / SELECTED_CONCEPTS)
+    return vocab, leaves, roots, expanded
+
+
 def _ner(run: _Run, path: Path) -> None:
     run.mentions = find_corpus_mentions(
         run.corpus, run.vocab, rules=run.config.rules, threads=run.config.threads
@@ -343,9 +355,7 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
     with _failing_as("run"):
         lexicon = load_lexicon(config.lexicon_path)
         corpus = load_corpus(config.corpus_path)
-        selected = select_concepts(lexicon, config.expand_groups)
-        vocab = build_vocabulary(lexicon, selected)
-        write_id_file(sorted(selected), root / SELECTED_CONCEPTS)
+        vocab = _lexicon_step(lexicon, config)[0]
         built_from, stamp = fingerprint(config), root / FINGERPRINT
         recorded = _recorded(stamp, built_from) if upto is not None else {}
 
@@ -387,19 +397,14 @@ def lexicon_summary(config: PipelineConfig) -> dict[str, object]:
     """Counts for the lexicon subcommand; also writes the resolved
     concept list."""
     lexicon = load_lexicon(config.lexicon_path)
-    leaves, roots, expanded = _selection(lexicon, config.expand_groups)
-    selected = leaves | expanded
-    vocab = build_vocabulary(lexicon, selected)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    selected_path = config.output_dir / SELECTED_CONCEPTS
-    write_id_file(sorted(selected), selected_path)
+    vocab, leaves, roots, expanded = _lexicon_step(lexicon, config)
     return {
         "concepts": len(lexicon),
         "terms": lexicon.n_terms(),
         "leaves": len(leaves),
         "expansion_roots": len(roots),
         "expanded": len(expanded),
-        "selected": len(selected),
+        "selected": len(leaves | expanded),
         "patterns": len(vocab),
-        "selected_path": str(selected_path),
+        "selected_path": str(config.output_dir / SELECTED_CONCEPTS),
     }

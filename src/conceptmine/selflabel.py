@@ -17,8 +17,9 @@ package's one cosine, then scores each mention against its context.
 :func:`label_scores` holds the one label rule, which the label files and
 :func:`evaluate.pr_sweep` share.
 
-Label files are formatted once for a whole sweep: the rows are sorted
-once, each row's csv prefix ``doc_id,start,end,concept_id,score,`` is
+Every writer here keeps the order of the mentions it is given, which
+in a run is NER's. Label files are formatted once for a whole sweep:
+each row's csv prefix ``doc_id,start,end,concept_id,score,`` is
 formatted once and kept with ``false`` and with ``true`` appended, and
 every threshold file streams one of the two lines per row.
 """
@@ -185,9 +186,8 @@ def label_scores(scored: Sequence[ScoredMention]) -> np.ndarray:
 
 
 def write_scored(scored: Sequence[ScoredMention], path: str | Path) -> None:
-    write_records(
-        map(_scored_record, sorted(scored, key=lambda s: s.mention.sort_key())), path
-    )
+    """Write one record per scored mention, in the order given."""
+    write_records(map(_scored_record, scored), path)
 
 
 def _scored_record(s: ScoredMention) -> dict[str, object]:
@@ -204,10 +204,10 @@ def read_scored(path: str | Path) -> list[ScoredMention]:
 def write_labels_csv(
     scored: Sequence[ScoredMention], tau: float, path: str | Path
 ) -> None:
-    """Per-threshold label file: doc_id,start,end,concept_id,score,label."""
+    """Label file for ``tau``: doc_id,start,end,concept_id,score,label, in the order given."""
     if not -1.0 <= tau <= 1.0:
         raise ValueError(f"threshold {tau} outside [-1, 1]")
-    _write_label_file(_LabelRows(scored), tau, Path(path))
+    _write_labels(scored, [(tau, Path(path))])
 
 
 def write_label_files(
@@ -215,42 +215,32 @@ def write_label_files(
 ) -> None:
     """Write one label file per sweep threshold into ``labels_dir``.
 
-    Rows are sorted and formatted once for all thresholds. Any other
-    ``threshold_*.csv`` in the directory is removed, so the directory
-    always holds exactly the current sweep's files.
+    Rows keep the order given and are formatted once for all thresholds.
+    Any other ``threshold_*.csv`` in the directory is removed, so the
+    directory always holds exactly the current sweep's files.
     """
     labels_dir = Path(labels_dir)
     labels_dir.mkdir(parents=True, exist_ok=True)
-    rows = _LabelRows(scored)
     names = {label_file_name(tau) for tau in sweep.thresholds}
     for stale in labels_dir.glob("threshold_*.csv"):
         if stale.name not in names:
             stale.unlink()
-    for tau in sweep.thresholds:
-        _write_label_file(rows, tau, labels_dir / label_file_name(tau))
+    _write_labels(scored, [(tau, labels_dir / label_file_name(tau)) for tau in sweep.thresholds])
 
 
-class _LabelRows:
-    """Mentions in sort-key order, each formatted once as its
-    ``(false line, true line)`` pair with the csv module's quoting, and
-    their :func:`label_scores`."""
-
-    def __init__(self, scored: Sequence[ScoredMention]) -> None:
-        ordered = sorted(scored, key=lambda s: s.mention.sort_key())
-        lines: list[str] = []
-        writer = csv.writer(SimpleNamespace(write=lines.append))
-        for s in ordered:
-            m = s.mention
-            writer.writerow([m.doc_id, m.start, m.end, m.concept_id, repr(s.score), ""])
-        # Each line ends "," + "\r\n"; the label goes between the two.
-        self.pairs = [
-            (line[:-2] + "false\r\n", line[:-2] + "true\r\n") for line in lines
-        ]
-        self.label_scores = label_scores(ordered)
-
-
-def _write_label_file(rows: _LabelRows, tau: float, path: Path) -> None:
-    positive = (rows.label_scores >= tau).tolist()
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        handle.write(_LABEL_HEADER)
-        handle.writelines(map(getitem, rows.pairs, positive))
+def _write_labels(scored: Sequence[ScoredMention], files: list[tuple[float, Path]]) -> None:
+    """Write the label file of each ``(tau, path)``. Each mention is
+    formatted once, with the csv module's quoting, as its false line and
+    its true line; each file takes one of the two by :func:`label_scores`."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append))
+    for s in scored:
+        m = s.mention
+        writer.writerow([m.doc_id, m.start, m.end, m.concept_id, repr(s.score), ""])
+    # Each line ends "," + "\r\n"; the label goes between the two.
+    pairs = [(line[:-2] + "false\r\n", line[:-2] + "true\r\n") for line in lines]
+    values = label_scores(scored)
+    for tau, path in files:
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            handle.write(_LABEL_HEADER)
+            handle.writelines(map(getitem, pairs, (values >= tau).tolist()))

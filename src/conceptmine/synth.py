@@ -17,11 +17,14 @@ Generation is fully deterministic given the spec. Run as a module, with
 ``--docs`` and ``--seed`` >= 0, to regenerate the bundled corpus:
 
     python -m conceptmine.synth --lexicon data/lexicon.csv --output data
+
+A failure prints one ``error:`` line and exits 1, as ``conceptmine`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -219,11 +222,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.docs < 0 or args.seed < 0:
         parser.error(f"--docs and --seed must be >= 0, got {args.docs} and {args.seed}")
 
-    lexicon = load_lexicon(args.lexicon)
-    corpus, gold = generate(lexicon, SynthSpec(n_docs=args.docs, seed=args.seed))
-    args.output.mkdir(parents=True, exist_ok=True)
-    save_corpus(corpus, args.output / "corpus.jsonl")
-    write_gold(gold, args.output / "gold.jsonl")
+    try:
+        lexicon = load_lexicon(args.lexicon)
+        corpus, gold = generate(lexicon, SynthSpec(n_docs=args.docs, seed=args.seed))
+        args.output.mkdir(parents=True, exist_ok=True)
+        save_corpus(corpus, args.output / "corpus.jsonl")
+        write_gold(gold, args.output / "gold.jsonl")
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(corpus)} documents and {len(gold)} gold annotations")
     return 0
 

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -231,6 +232,22 @@ class TestLoadConfig:
                     if not name.startswith("_") and name not in names
                 ]
         assert unused == []
+
+    def test_only_ner_orders_mentions(self):
+        """``ner.find_corpus_mentions`` is the one home of the mention order,
+        so no line of ``src/`` names ``sort_key`` but the one where
+        ``ner.Mention`` defines it: a writer that sorts again fails here."""
+        package, trees = _source_trees()
+        ner = trees[REPO_ROOT / "src" / "conceptmine" / "ner.py"]
+        [mention] = [n for n in ner.body if isinstance(n, ast.ClassDef) and n.name == "Mention"]
+        [defined] = [m.lineno for m in mention.body if getattr(m, "name", None) == "sort_key"]
+        named = [
+            (path.stem, line_no)
+            for path in package
+            for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(r"\bsort_key\b", line)
+        ]
+        assert named == [("ner", defined)]
 
     def test_every_dataclass_default_is_overridden(self):
         """A field default that no code in the package or the benchmark ever

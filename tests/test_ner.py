@@ -510,8 +510,9 @@ def test_mentions_jsonl_round_trip(tmp_path, nested_vocab):
         mentions, doc, FilterRules(stop_surfaces=frozenset({"mood swings"}))
     )
     path = tmp_path / "mentions.jsonl"
-    write_mentions(mentions, path)
-    assert read_mentions(path) == sorted(mentions, key=lambda m: m.sort_key())
+    # Written in the order given, not re-sorted.
+    write_mentions(mentions[::-1], path)
+    assert read_mentions(path) == mentions[::-1]
 
 
 def test_mention_record_keys_are_the_mention_fields():

@@ -304,9 +304,9 @@ def test_scored_jsonl_round_trip(tmp_path):
     X, C, mentions = toy_setup()
     scored = score_mentions(mentions, X, concept_embeddings(C))
     path = tmp_path / "scored.jsonl"
-    write_scored(scored, path)
-    loaded = read_scored(path)
-    assert loaded == sorted(scored, key=lambda s: s.mention.sort_key())
+    # Written in the order given, not re-sorted.
+    write_scored(scored[::-1], path)
+    assert read_scored(path) == scored[::-1]
 
 
 def test_labels_csv_shape(tmp_path):
@@ -321,12 +321,12 @@ def test_labels_csv_shape(tmp_path):
 
 
 def reference_labels_csv(scored, tau, path):
-    """One csv.writer row per mention, as label files were first written."""
-    ordered = sorted(scored, key=lambda s: s.mention.sort_key())
+    """One csv.writer row per mention in the order given, as label files
+    were first written."""
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["doc_id", "start", "end", "concept_id", "score", "label"])
-        for s in ordered:
+        for s in scored:
             label = (not s.mention.filtered) and s.score >= tau
             writer.writerow(
                 [s.mention.doc_id, s.mention.start, s.mention.end,

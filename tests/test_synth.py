@@ -11,6 +11,8 @@ from conceptmine.pipeline import _digests
 from conceptmine import synth
 from conceptmine.synth import THEMES, SynthSpec, generate, main
 
+from conftest import write_lexicon_csv
+
 # ``[size, CRC-32]`` of the corpus and gold files ``generate`` makes for
 # small specs. With few documents most theme concepts are never drawn, so
 # these cover the ``post-fill-*`` documents: 37 of them at 0 docs, 26-31 at
@@ -132,3 +134,19 @@ def test_negative_docs_or_seed_is_a_usage_error(data_dir, tmp_path, capsys, opti
     assert not (tmp_path / "out").exists()
     assert main(args + ["--docs", "0"]) == 0
     assert "wrote 42 documents" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(("lexicon_rows", "message"), [
+    (None, "No such file or directory"),
+    (["C1,child abuse,true,,"], "selected ids not in lexicon: "),
+])
+def test_an_unusable_lexicon_prints_one_error_line(tmp_path, capsys, lexicon_rows, message):
+    lexicon = tmp_path / "lexicon.csv"
+    if lexicon_rows is not None:
+        write_lexicon_csv(lexicon, lexicon_rows)
+    assert main(["--lexicon", str(lexicon), "--output", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
