@@ -18,7 +18,8 @@ Generation is fully deterministic given the spec. Run as a module, with
 
     python -m conceptmine.synth --lexicon data/lexicon.csv --output data
 
-A failure prints one ``error:`` line and exits 1, as ``conceptmine`` does.
+A file or lexicon error prints one ``error:`` line and exits 1, as
+``conceptmine`` does.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         args.output.mkdir(parents=True, exist_ok=True)
         save_corpus(corpus, args.output / "corpus.jsonl")
         write_gold(gold, args.output / "gold.jsonl")
-    except Exception as exc:
+    except (OSError, ValueError) as exc:  # LexiconError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {len(corpus)} documents and {len(gold)} gold annotations")
