@@ -330,6 +330,23 @@ def test_a_stage_run_drops_every_later_stages_artifacts(tmp_path):
         assert cached.read_bytes() == path.read_bytes(), path.name
 
 
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_stage_rerun_leaves_what_a_fresh_stage_run_leaves(tmp_path, capsys, stage):
+    # Each stage reads back the cached stages it consumes, and only those:
+    # --stage score still needs the matrix and the model, --stage
+    # autoencoder the matrix.
+    gold = [{"doc_id": "a", "start": 0, "end": 11, "label": "NLP_TRUE"}]
+    config_path = write_inputs(tmp_path, TINY_CORPUS, gold, TINY_AE)
+    argv = ["run", "--config", str(config_path), "--stage", stage]
+    assert main(["run", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    rerun = capsys.readouterr().out
+    assert main([*argv, "--output", str(tmp_path / "fresh")]) == 0
+    assert rerun == capsys.readouterr().out
+    assert tree(tmp_path / "out") == tree(tmp_path / "fresh")
+
+
 def test_cached_label_files_must_be_the_sweeps(tmp_path):
     run_pipeline(load_config(write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)))
     config_path = write_inputs(
