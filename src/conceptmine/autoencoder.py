@@ -17,9 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import ACTIVATIONS
 from .matrix import CoocMatrix, concept_embeddings
-
-ACTIVATIONS = ("identity", "sigmoid")
 
 MODEL_FORMAT = "conceptmine-autoencoder-v1"
 

@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .autoencoder import ACTIVATIONS
 from .ner import FilterRules
 from .selflabel import ThresholdSweep
+
+# The encoder activations the autoencoder implements.
+ACTIVATIONS = ("identity", "sigmoid")
 
 DEFAULT_NEGATION_CUES = ("no", "not", "never", "without", "denies", "denied")
 

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .ingest import Corpus, read_records, write_records
 from .lexicon import ConceptId, Lexicon
@@ -130,14 +129,17 @@ def _counts_at(
     Sorts once (the PR curve construction of Davis & Goadrich, ICML 2006):
     each gold-true annotation carries its span's score (-inf when never
     predicted) and every other predicted span its own. With both lists
-    sorted, one ``np.searchsorted`` gives tp and fp at every threshold."""
+    sorted, one ``bisect_left`` per list and threshold counts the scores
+    below tau, so the rest give tp and fp."""
     true_spans = {g.span() for g in gold if g.is_true}
-    gold_scores = np.sort([best.get(g.span(), -math.inf) for g in gold if g.is_true])
-    other_scores = np.sort([v for k, v in best.items() if k not in true_spans])
-    at = np.array(taus, dtype=np.float64)
-    tp = len(gold_scores) - np.searchsorted(gold_scores, at, side="left")
-    fp = len(other_scores) - np.searchsorted(other_scores, at, side="left")
-    return [ConfusionCounts(t, f, len(gold_scores) - t) for t, f in zip(tp.tolist(), fp.tolist())]
+    gold_scores = sorted(best.get(g.span(), -math.inf) for g in gold if g.is_true)
+    other_scores = sorted(v for k, v in best.items() if k not in true_spans)
+    counts = []
+    for tau in taus:
+        tp = len(gold_scores) - bisect_left(gold_scores, tau)
+        fp = len(other_scores) - bisect_left(other_scores, tau)
+        counts.append(ConfusionCounts(tp, fp, len(gold_scores) - tp))
+    return counts
 
 
 def match_to_gold(
@@ -216,7 +218,7 @@ def pr_sweep(
     :func:`selflabel.label_scores`; so it scores the highest label score
     of its mentions."""
     best: dict[SpanKey, float] = {}
-    for s, score in zip(scored, label_scores(scored).tolist()):
+    for s, score in zip(scored, label_scores(scored)):
         key = (s.mention.doc_id, s.mention.start, s.mention.end)
         if score > best.get(key, -math.inf):
             best[key] = score

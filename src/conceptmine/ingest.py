@@ -1,4 +1,5 @@
-"""Corpus loading, and the JSONL record codec every JSONL file uses.
+"""Corpus loading, the JSONL record codec every JSONL file uses, and the
+one-id-per-line codec of the id files.
 
 One JSON object per line with required string fields ``id`` and ``text``;
 any other fields are preserved as string metadata. A :class:`Corpus`
@@ -136,3 +137,16 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
          for doc in corpus.docs),
         path,
     )
+
+
+def write_id_file(ids: Sequence[str], path: str | Path) -> None:
+    """One id per line, each ended by a newline, which no id may hold."""
+    Path(path).write_text("".join(f"{i}\n" for i in ids), encoding="utf-8", newline="")
+
+
+def read_id_file(path: str | Path) -> tuple[str, ...]:
+    """The ids of :func:`write_id_file`. Only a newline ends a line, so an
+    id keeps every other line-break character, such as a carriage return
+    or U+2028."""
+    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+        return tuple(line for line in handle.read().split("\n") if line)

@@ -23,7 +23,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .ingest import Corpus
+# The id-file codec lives in ingest; these names stay importable from here.
+from .ingest import Corpus, read_id_file, write_id_file  # noqa: F401
 from .lexicon import ConceptId, Lexicon
 from .ner import Mention
 
@@ -223,16 +224,3 @@ def read_sparse_counts(path: str | Path) -> CSRCounts:
         k = int(order[1:][repeated].min())
         raise ValueError(f"{path}: entry {k} repeats ({rows[k]}, {cols[k]})")
     return _csr_from_triplets(rows, cols, data, (n_rows, n_cols))
-
-
-def write_id_file(ids: Sequence[str], path: str | Path) -> None:
-    """One id per line, each ended by a newline, which no id may hold."""
-    Path(path).write_text("".join(f"{i}\n" for i in ids), encoding="utf-8", newline="")
-
-
-def read_id_file(path: str | Path) -> tuple[str, ...]:
-    """The ids of :func:`write_id_file`. Only a newline ends a line, so an
-    id keeps every other line-break character, such as a carriage return
-    or U+2028."""
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        return tuple(line for line in handle.read().split("\n") if line)

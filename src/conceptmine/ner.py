@@ -232,8 +232,10 @@ def find_corpus_mentions(
     back pickled over a pipe; one worker forks nothing. The chunks join in
     the corpus's doc_id order, so the result needs no sort. An exception in
     a child is raised here with its type and message. Every child has been
-    waited for when this returns or raises. Children run no numpy code, so
-    forking a process that holds numpy's idle BLAS threads is safe.
+    waited for when this returns or raises. In a ``conceptmine run``, NER
+    forks before numpy is first imported, so no BLAS threads exist yet; a
+    caller that has loaded numpy forks beside its idle BLAS threads, which
+    is safe because the children run no numpy code.
     """
     rules = rules or FilterRules()
     docs = corpus.docs

@@ -1,15 +1,24 @@
 """End-to-end pipeline: NER, matrices, autoencoder, scoring, evaluation.
 
 The pipeline is one table of stages in run order. Each entry names the
-stage, the files it writes under the output directory, ``compute`` (a
-pure computation plus the writers of those files) and ``read`` (the
-cached load; ``eval`` has none). :func:`run_pipeline` walks the table
-once. A stage is read from its files only when ``upto`` names a later stage,
-every stage before it was read too and ``fingerprint.json`` holds this run's
-:func:`fingerprint` and each of the stage's files at its current size and
-CRC-32; otherwise it is computed. Any exception inside a stage becomes a
-:class:`PipelineError` naming it. All outputs are canonically ordered;
-reruns with the same config and seed are byte-identical.
+stage, the files it writes under the output directory, the earlier stages
+it ``reads``, ``compute`` (a pure computation plus the writers of those
+files) and ``read`` (the cached load; ``eval`` has none).
+
+:func:`run_pipeline` decides first, then reads. It decides to reuse a
+stage only when ``upto`` names a later stage, every stage before it is
+reused too and ``fingerprint.json`` holds this run's :func:`fingerprint`
+and each of the stage's files at its current size and CRC-32; otherwise
+the stage is computed. It then walks the table, computing the stages it
+does not reuse and reading a reused one back only when a computed stage
+reads it; the mentions are always read, since the run's counts need
+them. A cached ``--stage eval`` rerun so parses the mentions and the
+scores but no matrix and no model, and numpy, which only the stages that
+compute or parse arrays import, is never loaded.
+
+Any exception inside a stage becomes a :class:`PipelineError` naming it.
+All outputs are canonically ordered; reruns with the same config and
+seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,12 +29,11 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from . import autoencoder as ae
 from . import evaluate as ev
 from .config import PipelineConfig
-from .ingest import Corpus, load_corpus, read_records
+from .ingest import Corpus, load_corpus, read_id_file, read_records, write_id_file
 from .lexicon import (
     ConceptId,
     Lexicon,
@@ -36,19 +44,12 @@ from .lexicon import (
     extract_leaf_concepts,
     load_lexicon,
 )
-from .matrix import (
-    CoocMatrix,
-    DocConceptMatrix,
-    build_cooc_matrix,
-    build_doc_concept_matrix,
-    concept_embeddings,
-    read_id_file,
-    read_sparse_counts,
-    write_id_file,
-    write_sparse_matrix,
-)
 from .ner import Mention, find_corpus_mentions, read_mentions, write_mentions
 from .selflabel import ScoredMention, score_mentions, write_label_files, write_scored
+
+if TYPE_CHECKING:
+    from .autoencoder import AEModel
+    from .matrix import CoocMatrix, DocConceptMatrix
 
 SELECTED_CONCEPTS = "selected_concepts.txt"
 FINGERPRINT = "fingerprint.json"
@@ -92,18 +93,21 @@ class _Run:
     mentions: list[Mention] = field(default_factory=list)
     X: DocConceptMatrix | None = None
     C: CoocMatrix | None = None
-    model: ae.AEModel | None = None
+    model: AEModel | None = None
     scored: dict[str, list[ScoredMention]] = field(default_factory=dict)
     aucs: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class _Stage:
-    """One table entry. ``compute`` and ``read`` take the run and the
+    """One table entry. ``reads`` names the earlier stages whose results
+    ``compute`` uses; a reused stage is read back only for a computed
+    stage that names it. ``compute`` and ``read`` take the run and the
     paths of ``files``, in order."""
 
     name: str
     files: tuple[str, ...]
+    reads: tuple[str, ...]
     compute: Callable[..., None]
     read: Callable[..., None] | None = None
 
@@ -152,6 +156,8 @@ def _read_ner(run: _Run, path: Path) -> None:
 def _matrix(
     run: _Run, doc_matrix: Path, doc_order: Path, concept_order: Path, cooc: Path
 ) -> None:
+    from .matrix import build_cooc_matrix, build_doc_concept_matrix, write_sparse_matrix
+
     run.X = build_doc_concept_matrix(run.corpus, run.mentions, run.lexicon)
     run.C = build_cooc_matrix(run.X)
     write_sparse_matrix(run.X, doc_matrix)
@@ -163,6 +169,8 @@ def _matrix(
 def _read_matrix(
     run: _Run, doc_matrix: Path, doc_order: Path, concept_order: Path, cooc: Path
 ) -> None:
+    from .matrix import CoocMatrix, DocConceptMatrix, read_sparse_counts
+
     concept_ids = read_id_file(concept_order)
     run.X = DocConceptMatrix(
         doc_ids=read_id_file(doc_order),
@@ -173,6 +181,9 @@ def _read_matrix(
 
 
 def _autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
+    from . import autoencoder as ae
+    from .matrix import concept_embeddings
+
     config = run.config
     m = run.C.m_concepts
     if m < 2:
@@ -194,12 +205,17 @@ def _autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
 
 
 def _read_autoencoder(run: _Run, model_path: Path, report_path: Path) -> None:
+    from . import autoencoder as ae
+
     run.model = ae.load_model(model_path)
 
 
 def _score(
     run: _Run, raw: Path, encoded: Path, raw_labels: Path, encoded_labels: Path
 ) -> None:
+    from . import autoencoder as ae
+    from .matrix import concept_embeddings
+
     embeddings = {
         "raw": concept_embeddings(run.C, normalized=run.config.normalized),
         "encoded": ae.encode_all(run.model, run.C, normalized=run.config.normalized),
@@ -258,28 +274,32 @@ def _eval(
 
 
 _TABLE = (
-    _Stage("ner", ("mentions.jsonl",), _ner, _read_ner),
+    _Stage("ner", ("mentions.jsonl",), (), _ner, _read_ner),
     _Stage(
         "matrix",
         ("doc_concept_matrix.txt", "doc_order.txt", "concept_order.txt", "cooc_matrix.txt"),
+        ("ner",),
         _matrix,
         _read_matrix,
     ),
     _Stage(
         "autoencoder",
         ("autoencoder.json", "train_report.json"),
+        ("matrix",),
         _autoencoder,
         _read_autoencoder,
     ),
     _Stage(
         "score",
         ("scored_raw.jsonl", "scored_encoded.jsonl", "labels_raw", "labels_encoded"),
+        ("ner", "matrix", "autoencoder"),
         _score,
         _read_score,
     ),
     _Stage(
         "eval",
         ("pr_raw.csv", "pr_encoded.csv", "metrics.json", "auc_summary.json"),
+        ("ner", "score"),
         _eval,
     ),
 )
@@ -320,6 +340,17 @@ def _digests(root: Path, paths: list[Path]) -> dict[str, object]:
     return {f.relative_to(root).as_posix(): _plain(f) if f.is_file() else None for f in files}
 
 
+def _encoded_dim(model_path: Path) -> int:
+    """``encoded_dim`` from the header lines that :func:`autoencoder.save_model`
+    writes before the weights, read without parsing the weights."""
+    with model_path.open("r", encoding="utf-8") as handle:
+        for line in handle:
+            key, _, value = line.strip().rstrip(",").partition(": ")
+            if key == '"encoded_dim"':
+                return int(value)
+    raise ValueError(f"{model_path}: missing field 'encoded_dim'")
+
+
 def _recorded(stamp: Path, built_from: str) -> dict[str, object]:
     """The digests in ``stamp`` if it parses and its settings are this run's."""
     try:
@@ -342,9 +373,9 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
     """Run the pipeline.
 
     With ``upto=None`` every stage is computed fresh. With a stage name,
-    the stages before it are read back by the module's rule, the named
-    stage is computed, the run stops after it and every later stage's
-    files are removed. After each stage that can be read back,
+    the stages before it are reused or computed by the module's rule, the
+    named stage is computed, the run stops after it and every later
+    stage's files are removed. After each stage that can be read back,
     ``fingerprint.json`` is rewritten with the digests of this run's
     stages so far.
     """
@@ -366,28 +397,41 @@ def run_pipeline(config: PipelineConfig, upto: str | None = None) -> RunResult:
             shutil.rmtree(path)
         path.unlink(missing_ok=True)
 
-    run = _Run(config, lexicon, corpus, vocab)
-    reuse, stamped = bool(recorded), {}
-    for stage in _TABLE[: last + 1]:
-        paths = [root / name for name in stage.files]
+    stages = _TABLE[: last + 1]
+    paths = {stage.name: [root / name for name in stage.files] for stage in stages}
+    # Reuse only files the stamp vouches for, byte for byte. Once a stage is
+    # computed, every later stage is computed too; upto's stage always is.
+    reused: dict[str, dict[str, object]] = {}
+    for stage in stages[:last] if recorded else ():
         with _failing_as(stage.name):
-            # Read back only files the stamp vouches for, byte for byte. Once a
-            # stage is computed, every later stage is computed too.
-            digests = _digests(root, paths) if reuse and stage.name != upto else None
-            mine = {k: v for k, v in recorded.items() if k.split("/")[0] in stage.files}
-            reuse = digests == mine
-            (stage.read if reuse else stage.compute)(run, *paths)
+            digests = _digests(root, paths[stage.name])
+        if digests != {k: v for k, v in recorded.items() if k.split("/")[0] in stage.files}:
+            break
+        reused[stage.name] = digests
+    # Read a reused stage back only for a computed stage that reads it; the
+    # mentions always, since the counts need them.
+    wanted = {"ner"}.union(*(stage.reads for stage in stages if stage.name not in reused))
+
+    run, stamped = _Run(config, lexicon, corpus, vocab), {}
+    for stage in stages:
+        with _failing_as(stage.name):
+            digests = reused.get(stage.name)
+            if digests is None:
+                stage.compute(run, *paths[stage.name])
+            elif stage.name in wanted:
+                stage.read(run, *paths[stage.name])
             # eval's files are never read back, so they need no digest.
             if stage.read is not None:
-                stamped.update(digests if reuse else _digests(root, paths))
+                stamped.update(digests or _digests(root, paths[stage.name]))
                 stamp.write_text(built_from + json.dumps(stamped) + "\n", encoding="utf-8")
 
+    # From the files, which every run that reaches the stage has, parsed or not.
     return RunResult(
         n_docs=len(corpus),
         n_mentions=len(run.mentions),
         n_unfiltered=sum(1 for m in run.mentions if not m.filtered),
-        m_concepts=run.X.m_concepts if run.X is not None else 0,
-        encoded_dim=run.model.encoded_dim if run.model is not None else None,
+        m_concepts=len(read_id_file(root / "concept_order.txt")) if "matrix" in paths else 0,
+        encoded_dim=_encoded_dim(root / "autoencoder.json") if "autoencoder" in paths else None,
         auc_raw=run.aucs.get("raw"),
         auc_encoded=run.aucs.get("encoded"),
     )

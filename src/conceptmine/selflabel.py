@@ -22,22 +22,28 @@ in a run is NER's. Label files are formatted once for a whole sweep:
 each row's csv prefix ``doc_id,start,end,concept_id,score,`` is
 formatted once and kept with ``false`` and with ``true`` appended, and
 every threshold file streams one of the two lines per row.
+
+Only the functions that compute with arrays import numpy, so reading
+scores back and the label rule load none.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from operator import getitem
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .ingest import read_records, write_records
-from .matrix import DocConceptMatrix
 from .ner import MENTION_KEYS, Mention, mention_from_record, mention_record
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .matrix import DocConceptMatrix
 
 # Mentions scored per block; bounds the (block, dim) context buffers.
 SCORE_BLOCK = 1024
@@ -100,6 +106,8 @@ def score_mentions(
     concept is not a column of ``X`` scores 0.0; an unfiltered one raises
     ValueError naming the concept.
     """
+    import numpy as np
+
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or embeddings.shape[0] != X.m_concepts:
         raise ValueError(
@@ -155,6 +163,8 @@ def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     does (Blue 1978), so squaring neither underflows nor overflows; the
     scaled dot product over the root of the scaled norms' product is then
     clamped to [-1, 1]."""
+    import numpy as np
+
     equal = np.all(a == b, axis=1)
     opposite = np.all(a == -b, axis=1)
     scale_a = np.max(np.abs(a), axis=1, initial=0.0)
@@ -173,16 +183,14 @@ def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return value
 
 
-def label_scores(scored: Sequence[ScoredMention]) -> np.ndarray:
+def label_scores(scored: Sequence[ScoredMention]) -> list[float]:
     """The label rule: mention k is positive at threshold tau iff
     ``label_scores(scored)[k] >= tau``. The value is the mention's score
     when it is unfiltered, and -inf, positive at no threshold, when it is
     filtered or its score is NaN."""
-    values = np.array(
-        [-np.inf if s.mention.filtered else s.score for s in scored], dtype=np.float64
-    )
-    values[np.isnan(values)] = -np.inf
-    return values
+    return [
+        -math.inf if s.mention.filtered or math.isnan(s.score) else s.score for s in scored
+    ]
 
 
 def write_scored(scored: Sequence[ScoredMention], path: str | Path) -> None:
@@ -232,6 +240,8 @@ def _write_labels(scored: Sequence[ScoredMention], files: list[tuple[float, Path
     """Write the label file of each ``(tau, path)``. Each mention is
     formatted once, with the csv module's quoting, as its false line and
     its true line; each file takes one of the two by :func:`label_scores`."""
+    import numpy as np
+
     lines: list[str] = []
     writer = csv.writer(SimpleNamespace(write=lines.append))
     for s in scored:
@@ -239,7 +249,8 @@ def _write_labels(scored: Sequence[ScoredMention], files: list[tuple[float, Path
         writer.writerow([m.doc_id, m.start, m.end, m.concept_id, repr(s.score), ""])
     # Each line ends "," + "\r\n"; the label goes between the two.
     pairs = [(line[:-2] + "false\r\n", line[:-2] + "true\r\n") for line in lines]
-    values = label_scores(scored)
+    # One vectorised comparison per file; a Python one per row is slower.
+    values = np.array(label_scores(scored), dtype=np.float64)
     for tau, path in files:
         with path.open("w", encoding="utf-8", newline="") as handle:
             handle.write(_LABEL_HEADER)

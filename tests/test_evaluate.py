@@ -13,6 +13,7 @@ from conceptmine.evaluate import (
     GoldError,
     PRPoint,
     UNMAPPED_BUCKET,
+    _counts_at,
     compute_metrics,
     load_gold,
     match_to_gold,
@@ -306,7 +307,39 @@ def random_eval_inputs(rng, trial):
     return predicted, gs
 
 
+def searchsorted_counts_at(best, gold, taus):
+    """``_counts_at`` in array form: both score lists sorted by numpy and
+    counted at every threshold by ``np.searchsorted(side="left")``."""
+    true_spans = {g.span() for g in gold if g.is_true}
+    gold_scores = np.sort([best.get(g.span(), -math.inf) for g in gold if g.is_true])
+    other_scores = np.sort([v for k, v in best.items() if k not in true_spans])
+    at = np.array(taus, dtype=np.float64)
+    tp = len(gold_scores) - np.searchsorted(gold_scores, at, side="left")
+    fp = len(other_scores) - np.searchsorted(other_scores, at, side="left")
+    return [ConfusionCounts(t, f, len(gold_scores) - t) for t, f in zip(tp.tolist(), fp.tolist())]
+
+
 class TestAgainstReferences:
+    def test_counts_at_equals_searchsorted(self):
+        # Ties, -inf, both zeros, and thresholds equal to scores.
+        rng = np.random.default_rng(104)
+        ties = (-math.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0)
+        pool = [("d", 10 * k, 10 * k + 4) for k in range(30)]
+        labels = ("NLP_TRUE", "Not_ACEs", "Manual_ACEs")
+        for _ in range(300):
+            best = {}
+            for _ in range(int(rng.integers(0, 25))):
+                span = pool[int(rng.integers(len(pool)))]
+                tied = rng.random() < 0.5
+                best[span] = float(rng.choice(ties)) if tied else float(rng.uniform(-1, 1))
+            gs = [
+                gold(*pool[int(rng.integers(len(pool)))], labels[int(rng.integers(3))])
+                for _ in range(int(rng.integers(0, 20)))
+            ]
+            scores = list(best.values()) + list(ties)
+            taus = sorted(float(rng.choice(scores)) for _ in range(int(rng.integers(1, 8))))
+            assert _counts_at(best, gs, taus) == searchsorted_counts_at(best, gs, taus)
+
     def test_match_to_gold_equals_reference(self):
         rng = np.random.default_rng(102)
         for trial in range(300):

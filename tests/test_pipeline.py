@@ -12,6 +12,7 @@ import pytest
 
 from conceptmine import autoencoder as ae
 from conceptmine import evaluate as ev
+from conceptmine import matrix
 from conceptmine.cli import main
 from conceptmine.config import PipelineConfig, load_config
 from conceptmine.pipeline import (
@@ -23,8 +24,8 @@ from conceptmine.pipeline import (
     select_concepts,
     stage_of,
 )
+from conceptmine.ingest import read_id_file
 from conceptmine.lexicon import load_lexicon
-from conceptmine.matrix import read_id_file
 from conceptmine.ner import read_mentions
 
 from conftest import DATA_DIR, REPO_ROOT, write_lexicon_csv
@@ -345,6 +346,33 @@ def test_a_stage_rerun_leaves_what_a_fresh_stage_run_leaves(tmp_path, capsys, st
     assert main([*argv, "--output", str(tmp_path / "fresh")]) == 0
     assert rerun == capsys.readouterr().out
     assert tree(tmp_path / "out") == tree(tmp_path / "fresh")
+
+
+def _unreadable(*args, **kwargs):
+    raise RuntimeError("parsed an array file")
+
+
+def test_a_cached_eval_rerun_parses_no_matrix_and_no_model(tmp_path, monkeypatch, capsys):
+    config_path = write_inputs(tmp_path, TINY_CORPUS, [], TINY_AE)
+    argv = ["run", "--config", str(config_path)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    monkeypatch.setattr(matrix, "read_sparse_counts", _unreadable)
+    monkeypatch.setattr(ae, "load_model", _unreadable)
+    assert main([*argv, "--stage", "eval"]) == 0
+    rerun = capsys.readouterr().out
+    for prefix in ("observed concepts", "encoded dim"):
+        [line] = [line for line in rerun.splitlines() if line.startswith(prefix)]
+        assert line in fresh.splitlines()
+    # With the mentions cut, NER is recomputed and so is every later stage:
+    # nothing is parsed back.
+    _drop_last_line(tmp_path / "out" / "mentions.jsonl")
+    assert_stage_eval_is_fresh(config_path)
+    # A stage that computes from the matrix or the model still parses it.
+    for stage in ("autoencoder", "score"):
+        assert main(argv) == 0
+        assert main([*argv, "--stage", stage]) == 1
+        assert "parsed an array file" in capsys.readouterr().err
 
 
 def test_cached_label_files_must_be_the_sweeps(tmp_path):

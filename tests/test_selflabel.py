@@ -238,7 +238,7 @@ class TestLabelAtThreshold:
         ]
 
     def labels(self, scored, tau):
-        return (label_scores(scored) >= tau).tolist()
+        return [v >= tau for v in label_scores(scored)]
 
     def test_minimum_threshold_labels_all_unfiltered(self):
         scored = self.scored([0.1, -0.9, 0.0])
