@@ -16,6 +16,11 @@ annotations. :func:`match_to_gold` and :func:`pr_sweep` count with one
 :func:`selflabel.label_scores`, the rule the label files use, so each PR
 point equals :func:`match_to_gold` on that threshold's label file; tests
 check both against set-based references.
+
+A run evaluates with :func:`evaluate_mentions`, which takes its mentions
+and one score column per space and builds the gold-true span keys once;
+:func:`match_to_gold`, :func:`per_concept_metrics` and :func:`pr_sweep`
+are adapters over the same private code.
 """
 
 from __future__ import annotations
@@ -23,9 +28,11 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .ingest import Corpus, read_records, write_records
 from .lexicon import ConceptId, Lexicon
@@ -44,7 +51,7 @@ class GoldError(ValueError):
     """Malformed gold annotation file or out-of-bounds span."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldAnnotation:
     doc_id: str
     start: int
@@ -58,6 +65,10 @@ class GoldAnnotation:
 
     def span(self) -> SpanKey:
         return (self.doc_id, self.start, self.end)
+
+
+_GOLD_KEYS = tuple(f.name for f in fields(GoldAnnotation))
+_gold_fields = attrgetter(*_GOLD_KEYS)
 
 
 @dataclass(frozen=True)
@@ -91,8 +102,13 @@ def load_gold(path: str | Path, corpus: Corpus | None = None) -> list[GoldAnnota
     """Read gold JSONL, checking field types as the module says, then the
     label and the span; with a corpus, each span's doc must be in it and the
     span within the doc's text. A bad line raises :class:`GoldError` as
-    ``<path>: line N: <reason>``. :class:`GoldAnnotation` checks nothing."""
-    lengths = None if corpus is None else {d.doc_id: len(d.text) for d in corpus.docs}
+    ``<path>: line N: <reason>``. :class:`GoldAnnotation` checks nothing.
+
+    The annotations share their strings: each label is its ``GOLD_LABELS``
+    member, each distinct concept id one object and, with a corpus, each
+    doc id the corpus's own."""
+    docs = None if corpus is None else {d.doc_id: d for d in corpus.docs}
+    concept_ids: dict[str, str] = {}
     gold: list[GoldAnnotation] = []
     for line_no, record in read_records(path, GoldError, ("doc_id", "start", "end", "label")):
         try:
@@ -107,32 +123,51 @@ def load_gold(path: str | Path, corpus: Corpus | None = None) -> list[GoldAnnota
                 raise GoldError(f"label {label!r} not in {', '.join(GOLD_LABELS)}")
             if start < 0 or end <= start:
                 raise GoldError(f"invalid span [{start}, {end}) for doc {doc_id!r}")
-            if lengths is not None and doc_id not in lengths:
-                raise GoldError(f"gold references unknown doc {doc_id!r}")
-            if lengths is not None and end > lengths[doc_id]:
-                raise GoldError(
-                    f"gold span [{start}, {end}) out of bounds for doc "
-                    f"{doc_id!r} of length {lengths[doc_id]}"
-                )
+            if docs is not None:
+                doc = docs.get(doc_id)
+                if doc is None:
+                    raise GoldError(f"gold references unknown doc {doc_id!r}")
+                if end > len(doc.text):
+                    raise GoldError(
+                        f"gold span [{start}, {end}) out of bounds for doc "
+                        f"{doc_id!r} of length {len(doc.text)}"
+                    )
+                doc_id = doc.doc_id
         except GoldError as exc:
             raise GoldError(f"{path}: line {line_no}: {exc}") from exc
-        gold.append(GoldAnnotation(doc_id, start, end, record.get("concept_id"), label))
+        concept_id = record.get("concept_id")
+        if concept_id is not None:
+            concept_id = concept_ids.setdefault(concept_id, concept_id)
+        label = GOLD_LABELS[GOLD_LABELS.index(label)]
+        gold.append(GoldAnnotation(doc_id, start, end, concept_id, label))
     return gold
 
 
+def _true_spans(gold: Iterable[GoldAnnotation]) -> dict[SpanKey, int]:
+    """Each gold-true span, with the number of gold-true annotations on it."""
+    spans: dict[SpanKey, int] = {}
+    for g in gold:
+        if g.is_true:
+            key = g.span()
+            spans[key] = spans.get(key, 0) + 1
+    return spans
+
+
 def _counts_at(
-    best: dict[SpanKey, float], gold: Sequence[GoldAnnotation], taus: Sequence[float]
+    best: dict[SpanKey, float], true_spans: Mapping[SpanKey, int], taus: Sequence[float]
 ) -> list[ConfusionCounts]:
     """Exact-span counts at each of ``taus``; ``best`` maps each predicted
     span to its score, and a span is positive at tau iff its score is >= tau.
+    ``true_spans`` is :func:`_true_spans` of the gold.
 
     Sorts once (the PR curve construction of Davis & Goadrich, ICML 2006):
     each gold-true annotation carries its span's score (-inf when never
     predicted) and every other predicted span its own. With both lists
     sorted, one ``bisect_left`` per list and threshold counts the scores
     below tau, so the rest give tp and fp."""
-    true_spans = {g.span() for g in gold if g.is_true}
-    gold_scores = sorted(best.get(g.span(), -math.inf) for g in gold if g.is_true)
+    gold_scores = sorted(
+        score for key, n in true_spans.items() for score in repeat(best.get(key, -math.inf), n)
+    )
     other_scores = sorted(v for k, v in best.items() if k not in true_spans)
     counts = []
     for tau in taus:
@@ -142,13 +177,24 @@ def _counts_at(
     return counts
 
 
+def _span_concepts(positives: Iterable[Mention]) -> dict[SpanKey, tuple[ConceptId, ...]]:
+    """Each span of ``positives``, with the distinct concepts predicted on it."""
+    spans: dict[SpanKey, tuple[ConceptId, ...]] = {}
+    for m in positives:
+        key = (m.doc_id, m.start, m.end)
+        concepts = spans.get(key, ())
+        if m.concept_id not in concepts:
+            spans[key] = (*concepts, m.concept_id)
+    return spans
+
+
 def match_to_gold(
     predicted: Sequence[tuple[Mention, bool]],
     gold: Sequence[GoldAnnotation],
 ) -> ConfusionCounts:
     """Exact-span confusion counts of predicted positives against gold."""
     best = {(m.doc_id, m.start, m.end): 0.0 for m, label in predicted if label}
-    return _counts_at(best, gold, (0.0,))[0]
+    return _counts_at(best, _true_spans(gold), (0.0,))[0]
 
 
 def compute_metrics(counts: ConfusionCounts) -> Metrics:
@@ -178,11 +224,16 @@ def per_concept_metrics(
     global count. Support is the number of gold-true annotations per
     concept.
     """
-    span_concepts: dict[SpanKey, set[ConceptId]] = {}
-    for m, label in predicted:
-        if label:
-            span_concepts.setdefault((m.doc_id, m.start, m.end), set()).add(m.concept_id)
+    positives = _span_concepts(m for m, label in predicted if label)
+    return _per_concept(positives, gold, _true_spans(gold), lexicon)
 
+
+def _per_concept(
+    span_concepts: dict[SpanKey, tuple[ConceptId, ...]],
+    gold: Sequence[GoldAnnotation],
+    true_spans: Mapping[SpanKey, int],
+    lexicon: Lexicon,
+) -> dict[ConceptId, ConceptMetrics]:
     tally: dict[ConceptId, list[int]] = {}  # bucket -> [tp, fp, fn]
     for g in gold:
         if g.concept_id is not None and g.concept_id not in lexicon:
@@ -197,7 +248,6 @@ def per_concept_metrics(
         else:
             bucket = UNMAPPED_BUCKET
         tally.setdefault(bucket, [0, 0, 0])[0 if concepts else 2] += 1
-    true_spans = {g.span() for g in gold if g.is_true}
     for key, concepts in span_concepts.items():
         if key not in true_spans:
             for cid in concepts:
@@ -217,13 +267,43 @@ def pr_sweep(
     is positive at tau iff one of its mentions is, by
     :func:`selflabel.label_scores`; so it scores the highest label score
     of its mentions."""
+    mentions, scores = [s.mention for s in scored], [s.score for s in scored]
+    return _sweep(mentions, scores, _true_spans(gold), sweep)
+
+
+def _sweep(
+    mentions: Sequence[Mention],
+    scores: Sequence[float],
+    true_spans: Mapping[SpanKey, int],
+    sweep: ThresholdSweep,
+) -> list[PRPoint]:
     best: dict[SpanKey, float] = {}
-    for s, score in zip(scored, label_scores(scored)):
-        key = (s.mention.doc_id, s.mention.start, s.mention.end)
+    for m, score in zip(mentions, label_scores(mentions, scores)):
+        key = (m.doc_id, m.start, m.end)
         if score > best.get(key, -math.inf):
             best[key] = score
-    metrics = [compute_metrics(c) for c in _counts_at(best, gold, sweep.thresholds)]
+    metrics = [compute_metrics(c) for c in _counts_at(best, true_spans, sweep.thresholds)]
     return [PRPoint(tau, m.precision, m.recall) for tau, m in zip(sweep.thresholds, metrics)]
+
+
+def evaluate_mentions(
+    mentions: Sequence[Mention],
+    scores: Mapping[str, Sequence[float]],
+    gold: Sequence[GoldAnnotation],
+    lexicon: Lexicon,
+    sweep: ThresholdSweep,
+) -> tuple[ConfusionCounts, dict[ConceptId, ConceptMetrics], dict[str, list[PRPoint]]]:
+    """A run's evaluation: the counts and per-concept metrics of the
+    baseline, which predicts every unfiltered mention, and the PR points of
+    each space's score column, whose entry k scores mention k. These equal
+    :func:`match_to_gold`, :func:`per_concept_metrics` and
+    :func:`pr_sweep`; the gold-true span keys are built once for all."""
+    true_spans = _true_spans(gold)
+    baseline = _span_concepts(m for m in mentions if not m.filtered)
+    counts = _counts_at(dict.fromkeys(baseline, 0.0), true_spans, (0.0,))[0]
+    per_concept = _per_concept(baseline, gold, true_spans, lexicon)
+    points = {space: _sweep(mentions, s, true_spans, sweep) for space, s in scores.items()}
+    return counts, per_concept, points
 
 
 def pr_auc(points: Sequence[PRPoint]) -> float:
@@ -251,7 +331,8 @@ def write_gold(gold: Sequence[GoldAnnotation], path: str | Path) -> None:
     """One record per annotation, in field order; ``concept_id`` only if set."""
     ordered = sorted(gold, key=lambda g: (g.doc_id, g.start, g.end, g.label))
     write_records(
-        ({k: v for k, v in g.__dict__.items() if v is not None} for g in ordered), path
+        ({k: v for k, v in zip(_GOLD_KEYS, _gold_fields(g)) if v is not None} for g in ordered),
+        path,
     )
 
 

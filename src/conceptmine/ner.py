@@ -18,23 +18,23 @@ contiguous chunks, one per forked worker process.
 from __future__ import annotations
 
 import os
-import pickle
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, replace
 from itertools import accumulate, compress, count
-from operator import itemgetter
+from json.encoder import encode_basestring as _quote
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Sequence
 
-from .ingest import Corpus, Document, read_records, write_records
+from .ingest import Corpus, Document, read_records
 from .lexicon import ConceptId, Vocabulary
 from .tokenize import fold_term_tokens, token_columns
 
 _SENTENCE_BREAK_RE = re.compile(r"[.!?\n]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     doc_id: str
     concept_id: ConceptId
@@ -312,9 +312,11 @@ def _chunk_payload(
     """A worker's result, pickled: its mentions as field tuples, or the
     exception that stopped it (as a RuntimeError naming its type, if it
     does not pickle)."""
+    import pickle
+
     result: object
     try:
-        result = [_mention_values(m.__dict__) for m in _chunk_mentions(docs, vocab, rules)]
+        result = list(map(_mention_fields, _chunk_mentions(docs, vocab, rules)))
     except Exception as exc:
         result = exc
     try:
@@ -326,6 +328,8 @@ def _chunk_payload(
 def _receive(reader: BinaryIO) -> list[Mention]:
     """Inverse of :func:`_chunk_payload`: the mentions, or raise the
     worker's exception."""
+    import pickle
+
     try:
         result = pickle.load(reader)
     except EOFError:
@@ -335,24 +339,41 @@ def _receive(reader: BinaryIO) -> list[Mention]:
     return [Mention(*values) for values in result]
 
 
-def mention_record(m: Mention) -> dict[str, object]:
-    """The JSON record of one mention, as ``mentions.jsonl`` and the
-    scored mention files hold it: ``Mention``'s fields, in field order."""
-    return m.__dict__.copy()
-
-
 MENTION_KEYS = tuple(f.name for f in fields(Mention))
 _mention_values = itemgetter(*MENTION_KEYS)
+_mention_fields = attrgetter(*MENTION_KEYS)
+
+# float.__repr__ of a value that is not finite, as json.dumps writes it.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def mention_line(m: Mention, score: float | None = None) -> str:
+    """One line of ``mentions.jsonl``, or, given a score, of a scored
+    mention file: the record of ``Mention``'s fields in field order, then
+    ``score``, exactly as ``json.dumps(record, ensure_ascii=False) + "\\n"``
+    writes it, but formatted field by field with no record built."""
+    reason = "null" if m.filter_reason is None else _quote(m.filter_reason)
+    line = (
+        f'{{"doc_id": {_quote(m.doc_id)}, "concept_id": {_quote(m.concept_id)}, '
+        f'"start": {m.start}, "end": {m.end}, "surface": {_quote(m.surface)}, '
+        f'"filtered": {"true" if m.filtered else "false"}, "filter_reason": {reason}'
+    )
+    if score is None:
+        return line + "}\n"
+    text = float.__repr__(score)
+    return f'{line}, "score": {_JSON_NONFINITE.get(text, text)}}}\n'
 
 
 def mention_from_record(record: dict[str, object]) -> Mention:
-    """Inverse of :func:`mention_record`; other keys are ignored."""
+    """A mention from the record of one line of :func:`mention_line`;
+    other keys are ignored."""
     return Mention(*_mention_values(record))
 
 
 def write_mentions(mentions: Iterable[Mention], path: str | Path) -> None:
-    """Write one record per mention, in the order given."""
-    write_records(map(mention_record, mentions), path)
+    """Write one line per mention, in the order given."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.writelines(map(mention_line, mentions))
 
 
 def read_mentions(path: str | Path) -> list[Mention]:

@@ -45,7 +45,7 @@ from .lexicon import (
     load_lexicon,
 )
 from .ner import Mention, find_corpus_mentions, read_mentions, write_mentions
-from .selflabel import ScoredMention, score_mentions, write_label_files, write_scored
+from .selflabel import score_column, write_label_files, write_scores
 
 if TYPE_CHECKING:
     from .autoencoder import AEModel
@@ -94,7 +94,8 @@ class _Run:
     X: DocConceptMatrix | None = None
     C: CoocMatrix | None = None
     model: AEModel | None = None
-    scored: dict[str, list[ScoredMention]] = field(default_factory=dict)
+    # One score column per space: entry k scores mentions[k].
+    scores: dict[str, list[float]] = field(default_factory=dict)
     aucs: dict[str, float] = field(default_factory=dict)
 
 
@@ -222,32 +223,30 @@ def _score(
     }
     outputs = {"raw": (raw, raw_labels), "encoded": (encoded, encoded_labels)}
     for space, (scored_path, labels_dir) in outputs.items():
-        scored = score_mentions(run.mentions, run.X, embeddings[space])
-        run.scored[space] = scored
-        write_scored(scored, scored_path)
-        write_label_files(scored, run.config.sweep, labels_dir)
+        scores = run.scores[space] = score_column(run.mentions, run.X, embeddings[space])
+        write_scores(run.mentions, scores, scored_path)
+        write_label_files(run.mentions, scores, run.config.sweep, labels_dir)
 
 
 def _read_score(run: _Run, raw: Path, encoded: Path, *labels: Path) -> None:
     for space, path in (("raw", raw), ("encoded", encoded)):
-        scores = (record["score"] for _, record in read_records(path, required=("score",)))
-        run.scored[space] = [ScoredMention(m, score) for m, score in zip(run.mentions, scores)]
+        records = read_records(path, required=("score",))
+        run.scores[space] = [record["score"] for _, record in records]
 
 
 def _eval(
     run: _Run, raw_pr: Path, encoded_pr: Path, metrics_path: Path, auc_path: Path
 ) -> None:
     gold = ev.load_gold(run.config.gold_path, run.corpus)
-    baseline_predicted = [(m, not m.filtered) for m in run.mentions]
-    baseline_counts = ev.match_to_gold(baseline_predicted, gold)
+    baseline_counts, per_concept, points = ev.evaluate_mentions(
+        run.mentions, run.scores, gold, run.lexicon, run.config.sweep
+    )
     baseline = ev.compute_metrics(baseline_counts)
-    per_concept = ev.per_concept_metrics(baseline_predicted, gold, run.lexicon)
 
     aucs = run.aucs
     for space, pr_path in (("raw", raw_pr), ("encoded", encoded_pr)):
-        points = ev.pr_sweep(run.scored[space], gold, run.config.sweep)
-        ev.write_pr_csv(points, pr_path)
-        aucs[space] = ev.pr_auc(points)
+        ev.write_pr_csv(points[space], pr_path)
+        aucs[space] = ev.pr_auc(points[space])
     gap = abs(aucs["raw"] - aucs["encoded"])
 
     metrics_doc = {

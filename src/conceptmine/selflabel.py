@@ -15,13 +15,20 @@ own concept gives an exactly zero context. :func:`_rowwise_cosine`, the
 package's one cosine, then scores each mention against its context.
 
 :func:`label_scores` holds the one label rule, which the label files and
-:func:`evaluate.pr_sweep` share.
+the PR sweep of :mod:`evaluate` share.
+
+A run keeps its scores as columns: one list of floats per space, whose
+entry k scores mention k. :func:`score_column`, :func:`write_scores`,
+:func:`label_scores` and :func:`write_label_files` take the mentions and
+such a column; :func:`score_mentions`, :func:`write_scored`,
+:func:`read_scored` and :func:`write_labels_csv` are their adapters to
+:class:`ScoredMention` records.
 
 Every writer here keeps the order of the mentions it is given, which
 in a run is NER's. Label files are formatted once for a whole sweep:
-each row's csv prefix ``doc_id,start,end,concept_id,score,`` is
-formatted once and kept with ``false`` and with ``true`` appended, and
-every threshold file streams one of the two lines per row.
+each row is formatted once, by the csv module, straight into its line
+with ``false`` and its line with ``true``, and every threshold file
+streams one of the two lines per row.
 
 Only the functions that compute with arrays import numpy, so reading
 scores back and the label rule load none.
@@ -37,8 +44,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
-from .ingest import read_records, write_records
-from .ner import MENTION_KEYS, Mention, mention_from_record, mention_record
+from .ingest import read_records
+from .ner import MENTION_KEYS, Mention, mention_from_record, mention_line
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,7 +58,7 @@ SCORE_BLOCK = 1024
 _LABEL_HEADER = "doc_id,start,end,concept_id,score,label\r\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredMention:
     mention: Mention
     score: float
@@ -97,8 +104,17 @@ def score_mentions(
     X: DocConceptMatrix,
     embeddings: np.ndarray,
 ) -> list[ScoredMention]:
-    """Score every mention against its document context, in the given
-    order.
+    """Each mention with its :func:`score_column` score, in the given order."""
+    return list(map(ScoredMention, mentions, score_column(mentions, X, embeddings)))
+
+
+def score_column(
+    mentions: Sequence[Mention],
+    X: DocConceptMatrix,
+    embeddings: np.ndarray,
+) -> list[float]:
+    """Score every mention against its document context: entry k is
+    mention k's score.
 
     ``embeddings`` holds one row per concept of ``X``, in concept order
     (raw co-occurrence rows and encoded vectors both work). Filtered
@@ -150,10 +166,7 @@ def score_mentions(
             weight = weights[block_starts[keep] + p]
             context[keep] += weight[:, None] * embeddings[cols[keep]]
         scores[kept[block]] = _rowwise_cosine(own, context)
-    return [
-        ScoredMention(mention=mention, score=score)
-        for mention, score in zip(mentions, scores.tolist())
-    ]
+    return scores.tolist()
 
 
 def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,25 +196,30 @@ def _rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return value
 
 
-def label_scores(scored: Sequence[ScoredMention]) -> list[float]:
+def label_scores(mentions: Sequence[Mention], scores: Sequence[float]) -> list[float]:
     """The label rule: mention k is positive at threshold tau iff
-    ``label_scores(scored)[k] >= tau``. The value is the mention's score
-    when it is unfiltered, and -inf, positive at no threshold, when it is
-    filtered or its score is NaN."""
+    ``label_scores(mentions, scores)[k] >= tau``. The value is the score
+    when the mention is unfiltered, and -inf, positive at no threshold,
+    when it is filtered or its score is NaN."""
     return [
-        -math.inf if s.mention.filtered or math.isnan(s.score) else s.score for s in scored
+        -math.inf if m.filtered or math.isnan(score) else score
+        for m, score in zip(mentions, scores)
     ]
+
+
+def _columns(scored: Sequence[ScoredMention]) -> tuple[list[Mention], list[float]]:
+    return [s.mention for s in scored], [s.score for s in scored]
+
+
+def write_scores(mentions: Sequence[Mention], scores: Sequence[float], path: str | Path) -> None:
+    """Write one record per mention with its score, in the order given."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        handle.writelines(map(mention_line, mentions, scores))
 
 
 def write_scored(scored: Sequence[ScoredMention], path: str | Path) -> None:
     """Write one record per scored mention, in the order given."""
-    write_records(map(_scored_record, scored), path)
-
-
-def _scored_record(s: ScoredMention) -> dict[str, object]:
-    record = mention_record(s.mention)
-    record["score"] = s.score
-    return record
+    write_scores(*_columns(scored), path)
 
 
 def read_scored(path: str | Path) -> list[ScoredMention]:
@@ -215,11 +233,14 @@ def write_labels_csv(
     """Label file for ``tau``: doc_id,start,end,concept_id,score,label, in the order given."""
     if not -1.0 <= tau <= 1.0:
         raise ValueError(f"threshold {tau} outside [-1, 1]")
-    _write_labels(scored, [(tau, Path(path))])
+    _write_labels(*_columns(scored), [(tau, Path(path))])
 
 
 def write_label_files(
-    scored: Sequence[ScoredMention], sweep: ThresholdSweep, labels_dir: str | Path
+    mentions: Sequence[Mention],
+    scores: Sequence[float],
+    sweep: ThresholdSweep,
+    labels_dir: str | Path,
 ) -> None:
     """Write one label file per sweep threshold into ``labels_dir``.
 
@@ -233,24 +254,31 @@ def write_label_files(
     for stale in labels_dir.glob("threshold_*.csv"):
         if stale.name not in names:
             stale.unlink()
-    _write_labels(scored, [(tau, labels_dir / label_file_name(tau)) for tau in sweep.thresholds])
+    files = [(tau, labels_dir / label_file_name(tau)) for tau in sweep.thresholds]
+    _write_labels(mentions, scores, files)
 
 
-def _write_labels(scored: Sequence[ScoredMention], files: list[tuple[float, Path]]) -> None:
+def _write_labels(
+    mentions: Sequence[Mention], scores: Sequence[float], files: list[tuple[float, Path]]
+) -> None:
     """Write the label file of each ``(tau, path)``. Each mention is
-    formatted once, with the csv module's quoting, as its false line and
+    formatted once, with the csv module's quoting, into its false line and
     its true line; each file takes one of the two by :func:`label_scores`."""
     import numpy as np
 
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append))
-    for s in scored:
-        m = s.mention
-        writer.writerow([m.doc_id, m.start, m.end, m.concept_id, repr(s.score), ""])
-    # Each line ends "," + "\r\n"; the label goes between the two.
-    pairs = [(line[:-2] + "false\r\n", line[:-2] + "true\r\n") for line in lines]
+    pairs: list[tuple[str, str]] = []
+
+    def pair(line: str) -> None:
+        # The line ends "," + "\r\n"; the label goes between the two.
+        head = line[:-2]
+        pairs.append((head + "false\r\n", head + "true\r\n"))
+
+    csv.writer(SimpleNamespace(write=pair)).writerows(
+        [m.doc_id, m.start, m.end, m.concept_id, repr(score), ""]
+        for m, score in zip(mentions, scores)
+    )
     # One vectorised comparison per file; a Python one per row is slower.
-    values = np.array(label_scores(scored), dtype=np.float64)
+    values = np.array(label_scores(mentions, scores), dtype=np.float64)
     for tau, path in files:
         with path.open("w", encoding="utf-8", newline="") as handle:
             handle.write(_LABEL_HEADER)

@@ -22,6 +22,12 @@ def write_lexicon_csv(path: Path, rows: list[str]) -> Path:
     return path
 
 
+def score_columns(scored) -> tuple[list, list[float]]:
+    """The mention column and the score column of ``ScoredMention`` records,
+    as a run holds them."""
+    return [s.mention for s in scored], [s.score for s in scored]
+
+
 def flat_lexicon(concept_ids: list[str]) -> Lexicon:
     """Parent-free lexicon where each concept's only term is its id."""
     concepts = tuple(

@@ -45,7 +45,7 @@ from conceptmine.selflabel import (
     write_label_files,
 )
 
-from conftest import DATA_DIR, REPO_ROOT, flat_lexicon, write_lexicon_csv
+from conftest import DATA_DIR, REPO_ROOT, flat_lexicon, score_columns, write_lexicon_csv
 
 
 @contextlib.contextmanager
@@ -323,7 +323,7 @@ def test_criterion_8_threshold_monotonicity(tmp_path):
                     )
             sweep = ThresholdSweep()
             # Labels as the run writes them, recall as the run sweeps it.
-            write_label_files(scored, sweep, tmp_path)
+            write_label_files(*score_columns(scored), sweep, tmp_path)
             points = pr_sweep(scored, gold, sweep)
             previous_positive = None
             previous_recall = None

@@ -10,9 +10,11 @@ import pytest
 
 from conceptmine.cli import build_parser, main
 from conceptmine.config import _OPTIONS, OVERRIDES, ConfigError, load_config
-from conceptmine.evaluate import write_gold
+from conceptmine.evaluate import GoldAnnotation, write_gold
 from conceptmine.ingest import save_corpus
 from conceptmine.lexicon import load_lexicon
+from conceptmine.ner import Mention
+from conceptmine.selflabel import ScoredMention
 from conceptmine.synth import SynthSpec, generate
 
 from conftest import DATA_DIR, REPO_ROOT
@@ -249,6 +251,24 @@ class TestLoadConfig:
         ]
         assert named == [("ner", defined)]
 
+    def test_per_mention_records_hold_no_dict(self):
+        """A run holds one ``Mention`` per mention and one ``GoldAnnotation``
+        per gold record, and the benchmark's trace a ``ScoredMention`` per
+        mention and space. Each is slotted, so it has no ``__dict__``, and no
+        line of ``src/`` reads one into being."""
+        mention = Mention("d", "C1", 0, 4, "self")
+        gold = GoldAnnotation("d", 0, 4, None, "NLP_TRUE")
+        records = (mention, gold, ScoredMention(mention, 0.5))
+        assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
+        package, _ = _source_trees()
+        reads = [
+            (path.stem, line_no)
+            for path in package
+            for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if ".__dict__" in line
+        ]
+        assert reads == []
+
     def test_every_dataclass_default_is_overridden(self):
         """A field default that no code in the package or the benchmark ever
         replaces is a constant, not a setting: each field with a default in
@@ -462,8 +482,10 @@ def test_cli_imports_only_stdlib(tmp_path):
     )
     loaded = set(proc.stdout.split())
     assert loaded - set(sys.stdlib_module_names) == {"conceptmine"}
-    # Nor concurrent.futures, which costs every start 6-8 ms for nothing.
+    # Nor concurrent.futures, which costs every start 6-8 ms for nothing,
+    # nor pickle, which only a forked NER worker and its reader use.
     assert "concurrent" not in loaded
+    assert "pickle" not in loaded
 
 
 def test_forked_ner_workers_print_nothing(small_setup, tmp_path):

@@ -9,12 +9,15 @@ import pytest
 from conceptmine.evaluate import (
     ConceptMetrics,
     ConfusionCounts,
+    GOLD_LABELS,
     GoldAnnotation,
     GoldError,
     PRPoint,
     UNMAPPED_BUCKET,
     _counts_at,
+    _true_spans,
     compute_metrics,
+    evaluate_mentions,
     load_gold,
     match_to_gold,
     per_concept_metrics,
@@ -338,7 +341,9 @@ class TestAgainstReferences:
             ]
             scores = list(best.values()) + list(ties)
             taus = sorted(float(rng.choice(scores)) for _ in range(int(rng.integers(1, 8))))
-            assert _counts_at(best, gs, taus) == searchsorted_counts_at(best, gs, taus)
+            assert _counts_at(best, _true_spans(gs), taus) == (
+                searchsorted_counts_at(best, gs, taus)
+            )
 
     def test_match_to_gold_equals_reference(self):
         rng = np.random.default_rng(102)
@@ -354,6 +359,29 @@ class TestAgainstReferences:
             assert per_concept_metrics(predicted, gs, lexicon) == (
                 reference_per_concept_metrics(predicted, gs, lexicon)
             )
+
+    def test_evaluate_mentions_equals_references(self):
+        # The baseline predicts the unfiltered mentions; each score column
+        # sweeps as its ScoredMention records do.
+        lexicon = flat_lexicon(["C0", "C1", "C2"])
+        rng = np.random.default_rng(105)
+        for trial in range(300):
+            scored, gs, sweep = random_sweep_inputs(rng)
+            if trial % 10 == 0:
+                gs = []
+            elif trial % 10 == 1:
+                gs = gs + gs
+            mentions = [s.mention for s in scored]
+            other = [ScoredMention(m, float(v)) for m, v in zip(mentions, rng.uniform(-1, 1, 60))]
+            columns = {"a": [s.score for s in scored], "b": [s.score for s in other]}
+            baseline = [(m, not m.filtered) for m in mentions]
+            counts, per_concept, points = evaluate_mentions(mentions, columns, gs, lexicon, sweep)
+            assert counts == reference_match_to_gold(baseline, gs)
+            assert per_concept == reference_per_concept_metrics(baseline, gs, lexicon)
+            assert points == {
+                "a": reference_pr_sweep(scored, gs, sweep),
+                "b": reference_pr_sweep(other, gs, sweep),
+            }
 
 
 class TestPRSweep:
@@ -519,6 +547,28 @@ class TestGoldIO:
         message = f"gold.jsonl: line 1: {key} must be a string, got {value!r}"
         with pytest.raises(GoldError, match=re.escape(message)):
             load_gold(path)
+
+    def test_gold_shares_the_corpus_ids_the_labels_and_its_concept_ids(self, tmp_path):
+        # One object per distinct string, not one per record.
+        path = tmp_path / "gold.jsonl"
+        write_gold(
+            [
+                gold("doc-a", 0, 4, "NLP_TRUE", "C12"),
+                gold("doc-a", 5, 9, "Not_ACEs", "C12"),
+                gold("doc-b", 0, 2, "Manual_ACEs"),
+                gold("doc-b", 3, 5, "NLP_TRUE"),
+            ],
+            path,
+        )
+        docs = (Document(doc_id="doc-a", text="text here"), Document(doc_id="doc-b", text="bbbbb"))
+        corpus = Corpus(docs=docs)
+        loaded = load_gold(path, corpus)
+        doc_ids = {d.doc_id: d.doc_id for d in corpus.docs}
+        assert [g.doc_id for g in loaded] == ["doc-a", "doc-a", "doc-b", "doc-b"]
+        assert all(g.doc_id is doc_ids[g.doc_id] for g in loaded)
+        assert all(any(g.label is label for label in GOLD_LABELS) for g in loaded)
+        assert loaded[0].concept_id == "C12"
+        assert loaded[0].concept_id is loaded[1].concept_id
 
     def test_concept_id_may_be_null_or_absent(self, tmp_path):
         path = tmp_path / "gold.jsonl"

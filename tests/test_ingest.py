@@ -5,7 +5,7 @@ import pytest
 
 from conceptmine.evaluate import GoldError, load_gold
 from conceptmine.ingest import Corpus, CorpusError, Document, load_corpus, save_corpus
-from conceptmine.ner import Mention, mention_record, read_mentions
+from conceptmine.ner import Mention, mention_line, read_mentions
 from conceptmine.selflabel import read_scored
 
 
@@ -121,7 +121,7 @@ def test_index_of_unknown_doc(tmp_path):
         corpus.index_of("zzz")
 
 
-MENTION = mention_record(Mention("a", "C1", 0, 1, "x"))
+MENTION = json.loads(mention_line(Mention("a", "C1", 0, 1, "x")))
 
 # reader, error class, one good record, a key the reader requires
 JSONL_FORMATS = {

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import re
 import signal
@@ -11,13 +13,14 @@ from conceptmine import ner
 from conceptmine.ingest import Corpus, Document
 from conceptmine.lexicon import build_vocabulary, load_lexicon
 from conceptmine.ner import (
+    MENTION_KEYS,
     FilterRules,
     Mention,
     apply_filter_rules,
     find_corpus_mentions,
     find_mentions,
     mention_from_record,
-    mention_record,
+    mention_line,
     read_mentions,
     write_mentions,
 )
@@ -520,8 +523,31 @@ def test_mention_record_keys_are_the_mention_fields():
     plain = Mention("d", "C1", 0, 4, "self")
     flagged = replace(plain, filtered=True, filter_reason="stoplist")
     for m in (plain, flagged):
-        assert list(mention_record(m)) == names
-        assert mention_from_record({**mention_record(m), "score": 0.5}) == m
+        assert list(json.loads(mention_line(m))) == names
+        assert list(json.loads(mention_line(m, 0.5))) == [*names, "score"]
+        assert mention_from_record(json.loads(mention_line(m, 0.5))) == m
+
+
+JSON_STRINGS = [
+    "plain",
+    'a "quoted" \\ backslash',
+    "controls \x00\x01\x08\x0c\n\r\t\x1f and \x7f",
+    "separators \u2028 and \u2029",
+    "non-BMP \U0001f600, \u00e9 and \u4e2d",
+]
+JSON_SCORES = [0.0, -0.0, 5e-324, 1e22, 0.1, -0.75, 1 / 3, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("text", JSON_STRINGS)
+def test_mention_line_is_json_dumps_of_the_record(text):
+    for start, end in ((0, 1), (2**32 + 7, 2**40)):
+        for filtered, reason in ((False, None), (True, "stoplist"), (True, text)):
+            values = (text, text + "C1", start, end, text, filtered, reason)
+            m, record = Mention(*values), dict(zip(MENTION_KEYS, values))
+            assert mention_line(m) == json.dumps(record, ensure_ascii=False) + "\n"
+            for score in JSON_SCORES:
+                scored = {**record, "score": score}
+                assert mention_line(m, score) == json.dumps(scored, ensure_ascii=False) + "\n"
 
 
 class TestChunkBounds:

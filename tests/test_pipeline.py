@@ -547,25 +547,21 @@ def test_a_fixed_gold_file_reuses_every_stage(tmp_path, monkeypatch, capsys):
 def test_a_cached_rerun_holds_one_object_per_mention(tmp_path, monkeypatch):
     config_path = write_inputs(tmp_path, NEGATED_CORPUS, [], TINY_AE)
     assert main(["run", "--config", str(config_path)]) == 0
-    seen = {}
+    seen = []
+    real = ev.evaluate_mentions
 
-    def spy(name):
-        real = getattr(ev, name)
+    def spy(mentions, scores, *args):
+        seen.append((mentions, scores))
+        return real(mentions, scores, *args)
 
-        def call(items, *args, **kwargs):
-            seen.setdefault(name, []).append(items)
-            return real(items, *args, **kwargs)
-
-        monkeypatch.setattr(ev, name, call)
-
-    spy("per_concept_metrics")
-    spy("pr_sweep")
+    monkeypatch.setattr(ev, "evaluate_mentions", spy)
     assert main(["run", "--config", str(config_path), "--stage", "eval"]) == 0
-    [predicted] = seen["per_concept_metrics"]
-    assert len(seen["pr_sweep"]) == 2
-    for scored in seen["pr_sweep"]:
-        assert len(scored) == len(predicted) > 0
-        assert all(s.mention is m for s, (m, _) in zip(scored, predicted))
+    # Each mention is one object; each space adds only a float per mention.
+    [(mentions, scores)] = seen
+    assert sorted(scores) == ["encoded", "raw"]
+    for column in scores.values():
+        assert len(column) == len(mentions) > 0
+        assert all(type(score) is float for score in column)
 
 
 # "child abuse" names two concepts, whose ids sort apart from their numbers;

@@ -26,7 +26,7 @@ from conceptmine.selflabel import (
     write_scored,
 )
 
-from conftest import flat_lexicon, reference_document_context_vector
+from conftest import flat_lexicon, reference_document_context_vector, score_columns
 
 
 def mention(doc_id, cid, start=0, filtered=False):
@@ -238,7 +238,7 @@ class TestLabelAtThreshold:
         ]
 
     def labels(self, scored, tau):
-        return [v >= tau for v in label_scores(scored)]
+        return [v >= tau for v in label_scores(*score_columns(scored))]
 
     def test_minimum_threshold_labels_all_unfiltered(self):
         scored = self.scored([0.1, -0.9, 0.0])
@@ -353,7 +353,7 @@ def quoting_scored():
 def test_label_files_equal_csv_writer_reference(tmp_path):
     scored = quoting_scored()
     sweep = ThresholdSweep(thresholds=(-1.0, 0.0, 0.5, 1.0))
-    write_label_files(scored, sweep, tmp_path / "labels")
+    write_label_files(*score_columns(scored), sweep, tmp_path / "labels")
     for tau in sweep.thresholds:
         reference = tmp_path / f"reference_{tau:g}.csv"
         reference_labels_csv(scored, tau, reference)
@@ -371,10 +371,10 @@ def test_label_files_equal_csv_writer_reference(tmp_path):
 def test_label_files_replace_stale_thresholds_only(tmp_path):
     scored = quoting_scored()
     labels = tmp_path / "labels"
-    write_label_files(scored, ThresholdSweep(thresholds=(0.0, 0.5, 1.0)), labels)
+    write_label_files(*score_columns(scored), ThresholdSweep(thresholds=(0.0, 0.5, 1.0)), labels)
     (labels / "notes.txt").write_text("keep", encoding="utf-8")
     (labels / "threshold_x.txt").write_text("keep", encoding="utf-8")
-    write_label_files(scored, ThresholdSweep(thresholds=(0.5, 0.75)), labels)
+    write_label_files(*score_columns(scored), ThresholdSweep(thresholds=(0.5, 0.75)), labels)
     assert sorted(p.name for p in labels.iterdir()) == [
         "notes.txt", "threshold_0.5.csv", "threshold_0.75.csv", "threshold_x.txt",
     ]
