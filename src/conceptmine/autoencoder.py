@@ -4,7 +4,10 @@ descent.
 One encoder layer (identity or sigmoid activation) and one linear decoder
 layer, mean squared reconstruction error, no momentum. Everything is
 plain float64 numpy so the analytic gradients can be checked against
-finite differences, and training is bit-reproducible from the seed.
+finite differences, and training is bit-reproducible from the seed. The
+seeded draws (weight init and each epoch's shuffle) come from
+:mod:`conceptmine.pcg64`, the stream of ``numpy.random.default_rng(seed)``
+drawn in plain Python, so a run never imports ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from .config import ACTIVATIONS
 from .matrix import CoocMatrix, concept_embeddings
+from .pcg64 import PCG64
 
 MODEL_FORMAT = "conceptmine-autoencoder-v1"
 
@@ -52,6 +56,8 @@ class AEConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
@@ -85,13 +91,14 @@ class TrainReport:
 def init_model(config: AEConfig) -> AEModel:
     """Deterministic uniform(-s, s) weight init with s = sqrt(6/(m+k)),
     zero biases."""
-    rng = np.random.default_rng(config.seed)
+    rng = PCG64(config.seed)
     scale = math.sqrt(6.0 / (config.input_dim + config.encoded_dim))
+    k, m = config.encoded_dim, config.input_dim
     return AEModel(
-        W_enc=rng.uniform(-scale, scale, size=(config.encoded_dim, config.input_dim)),
-        b_enc=np.zeros(config.encoded_dim),
-        W_dec=rng.uniform(-scale, scale, size=(config.input_dim, config.encoded_dim)),
-        b_dec=np.zeros(config.input_dim),
+        W_enc=np.array(rng.uniform(-scale, scale, k * m)).reshape(k, m),
+        b_enc=np.zeros(k),
+        W_dec=np.array(rng.uniform(-scale, scale, m * k)).reshape(m, k),
+        b_dec=np.zeros(m),
         activation=config.activation,
     )
 
@@ -130,36 +137,31 @@ def _as_batch(batch: Sequence[np.ndarray] | np.ndarray, input_dim: int) -> np.nd
     return X
 
 
-def loss_and_gradients(
-    model: AEModel, batch: Sequence[np.ndarray] | np.ndarray
-) -> tuple[float, AEModel]:
-    """Mean squared reconstruction error over the batch and its exact
-    backpropagation gradients, returned as a model of the same shape.
+def _gradients(
+    model: AEModel, X: np.ndarray
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Mean squared reconstruction error over the 2-D float64 batch X and
+    its exact backpropagation gradients, in parameter order (W_enc, b_enc,
+    W_dec, b_dec).
 
     Loss is the batch mean of (1/m) * sum_j (reconstructed_j - x_j)^2.
     """
-    X = _as_batch(batch, model.input_dim)
     n, m = X.shape
-    # Overflow to inf is the divergence signal train() detects; do not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        encoded, reconstructed = forward_all(model, X)
-        residual = reconstructed - X
-        loss = float(np.sum(residual * residual)) / (n * m)
+    encoded, reconstructed = forward_all(model, X)
+    residual = reconstructed - X
+    loss = float(np.sum(residual * residual)) / (n * m)
 
-        d_recon = (2.0 / (n * m)) * residual
-        grad_W_dec = d_recon.T @ encoded
-        grad_b_dec = d_recon.sum(axis=0)
-        d_encoded = d_recon @ model.W_dec
-        if model.activation == "sigmoid":
-            d_pre = d_encoded * encoded * (1.0 - encoded)
-        else:
-            d_pre = d_encoded
-        grad_W_enc = d_pre.T @ X
-        grad_b_enc = d_pre.sum(axis=0)
-    return loss, AEModel(
-        W_enc=grad_W_enc, b_enc=grad_b_enc, W_dec=grad_W_dec, b_dec=grad_b_dec,
-        activation=model.activation,
-    )
+    d_recon = (2.0 / (n * m)) * residual
+    grad_W_dec = d_recon.T @ encoded
+    grad_b_dec = d_recon.sum(axis=0)
+    d_encoded = d_recon @ model.W_dec
+    if model.activation == "sigmoid":
+        d_pre = d_encoded * encoded * (1.0 - encoded)
+    else:
+        d_pre = d_encoded
+    grad_W_enc = d_pre.T @ X
+    grad_b_enc = d_pre.sum(axis=0)
+    return loss, (grad_W_enc, grad_b_enc, grad_W_dec, grad_b_dec)
 
 
 def train(
@@ -174,7 +176,7 @@ def train(
     """
     X = _as_batch(data, model.input_dim)
     n = X.shape[0]
-    rng = np.random.default_rng(config.seed)
+    orders = PCG64(config.seed).permutations(n)
     # One model whose parameter arrays every step updates in place.
     trained = AEModel(
         W_enc=model.W_enc.copy(), b_enc=model.b_enc.copy(),
@@ -185,18 +187,20 @@ def train(
     lr = config.learning_rate
     losses: list[float] = []
 
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        epoch_sse = 0.0
-        for lo in range(0, n, config.batch_size):
-            rows = order[lo : lo + config.batch_size]
-            loss, grads = loss_and_gradients(trained, X[rows])
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
-            epoch_sse += loss * len(rows)
-            for param, grad in zip(params, (grads.W_enc, grads.b_enc, grads.W_dec, grads.b_dec)):
-                param -= lr * grad
-        losses.append(epoch_sse / n)
+    # Overflow to inf is the divergence signal checked below; do not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = np.array(next(orders))
+            epoch_sse = 0.0
+            for lo in range(0, n, config.batch_size):
+                rows = order[lo : lo + config.batch_size]
+                loss, grads = _gradients(trained, X[rows])
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
+                epoch_sse += loss * len(rows)
+                for param, grad in zip(params, grads):
+                    param -= lr * grad
+            losses.append(epoch_sse / n)
     return trained, TrainReport(
         seed=config.seed, final_loss=losses[-1], loss_per_epoch=tuple(losses)
     )

@@ -377,4 +377,13 @@ def write_mentions(mentions: Iterable[Mention], path: str | Path) -> None:
 
 
 def read_mentions(path: str | Path) -> list[Mention]:
-    return [mention_from_record(r) for _, r in read_records(path, required=MENTION_KEYS)]
+    """The mentions of a :func:`write_mentions` file, in file order. Equal
+    doc ids and concept ids share one string, as they do in a fresh run."""
+    ids: dict[str, str] = {}
+    mentions = []
+    for _, record in read_records(path, required=MENTION_KEYS):
+        doc_id, concept_id, *rest = _mention_values(record)
+        mentions.append(
+            Mention(ids.setdefault(doc_id, doc_id), ids.setdefault(concept_id, concept_id), *rest)
+        )
+    return mentions

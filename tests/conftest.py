@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conceptmine.autoencoder import AEModel, _as_batch, _gradients
 from conceptmine.lexicon import Concept, Lexicon
 from conceptmine.matrix import CSRCounts
 
@@ -26,6 +27,15 @@ def score_columns(scored) -> tuple[list, list[float]]:
     """The mention column and the score column of ``ScoredMention`` records,
     as a run holds them."""
     return [s.mention for s in scored], [s.score for s in scored]
+
+
+def loss_and_gradients(model: AEModel, batch) -> tuple[float, AEModel]:
+    """The loss and gradients of one training step on ``batch`` (checked as
+    ``train`` checks its data), the gradients as a model of the same shape."""
+    X = _as_batch(batch, model.input_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = _gradients(model, X)
+    return loss, AEModel(*grads, activation=model.activation)
 
 
 def flat_lexicon(concept_ids: list[str]) -> Lexicon:

@@ -17,7 +17,6 @@ from conceptmine.autoencoder import (
     AEConfig,
     forward_all,
     init_model,
-    loss_and_gradients,
     train,
 )
 from conceptmine.config import load_config
@@ -45,7 +44,14 @@ from conceptmine.selflabel import (
     write_label_files,
 )
 
-from conftest import DATA_DIR, REPO_ROOT, flat_lexicon, score_columns, write_lexicon_csv
+from conftest import (
+    DATA_DIR,
+    REPO_ROOT,
+    flat_lexicon,
+    loss_and_gradients,
+    score_columns,
+    write_lexicon_csv,
+)
 
 
 @contextlib.contextmanager

@@ -14,7 +14,6 @@ from conceptmine.autoencoder import (
     forward_all,
     init_model,
     load_model,
-    loss_and_gradients,
     save_model,
     train,
 )
@@ -27,7 +26,7 @@ from conceptmine.matrix import (
 )
 from conceptmine.ner import Mention
 
-from conftest import csr_from_dense, flat_lexicon
+from conftest import csr_from_dense, flat_lexicon, loss_and_gradients
 
 
 def oracle_loss(model: AEModel, X: np.ndarray) -> float:
@@ -64,6 +63,10 @@ class TestConfig:
     def test_bad_activation(self):
         with pytest.raises(ValueError, match="activation"):
             AEConfig(input_dim=4, encoded_dim=2, activation="relu")
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            AEConfig(input_dim=4, encoded_dim=2, seed=-1)
 
 
 class TestInitModel:

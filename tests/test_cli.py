@@ -251,6 +251,28 @@ class TestLoadConfig:
         ]
         assert named == [("ner", defined)]
 
+    def test_only_synth_draws_from_numpy_random(self):
+        """A run must not import ``numpy.random``, which loads ``secrets``
+        and OpenSSL: no module of ``src/`` but ``synth`` (which makes inputs,
+        not runs) names ``np.random`` or ``numpy.random`` in its code, by
+        attribute or by import. Docstrings do not count."""
+        package, trees = _source_trees()
+        named = set()
+        for path in package:
+            for node in ast.walk(trees[path]):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    names = [f"{node.value.id}.{node.attr}"]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any(n in ("np.random", "numpy.random") or n.startswith("numpy.random.")
+                       for n in names):
+                    named.add(path.stem)
+        assert named == {"synth"}
+
     def test_per_mention_records_hold_no_dict(self):
         """A run holds one ``Mention`` per mention and one ``GoldAnnotation``
         per gold record, and the benchmark's trace a ``ScoredMention`` per
@@ -517,12 +539,13 @@ def test_forked_ner_workers_print_nothing(small_setup, tmp_path):
 
 def test_a_cached_rerun_loads_no_openssl(small_setup, tmp_path):
     # hashlib loads OpenSSL and numpy its array code, megabytes of peak RSS
-    # that a cached rerun has no use for. A fresh run trains with
-    # numpy.random, which imports _hashlib through secrets and hmac, so only
-    # ssl is barred there.
+    # that a cached rerun has no use for. A fresh run needs numpy but not
+    # numpy.random, which imports _hashlib through secrets and hmac: the
+    # autoencoder draws its seeded stream from conceptmine.pcg64.
     probe = (
         "import sys; from conceptmine.cli import main; code = main(sys.argv[1:]); "
-        "print('loaded', *sorted({'_hashlib', 'numpy', 'ssl'} & set(sys.modules))); "
+        "watched = {'_hashlib', 'numpy', 'numpy.random', 'secrets', 'ssl'}; "
+        "print('loaded', *sorted(watched & set(sys.modules))); "
         "sys.exit(code)"
     )
     pythonpath = os.pathsep.join(
@@ -537,5 +560,5 @@ def test_a_cached_rerun_loads_no_openssl(small_setup, tmp_path):
             env={**os.environ, "PYTHONPATH": pythonpath},
         )
         loaded.append(proc.stdout.splitlines()[-1].split()[1:])
-    assert "ssl" not in loaded[0]
+    assert loaded[0] == ["numpy"]
     assert loaded[1] == []

@@ -518,6 +518,21 @@ def test_mentions_jsonl_round_trip(tmp_path, nested_vocab):
     assert read_mentions(path) == mentions[::-1]
 
 
+def test_read_mentions_shares_equal_ids(tmp_path):
+    # A cached rerun holds every mention; one string per distinct id keeps
+    # it as small as the fresh run's list.
+    path = tmp_path / "mentions.jsonl"
+    write_mentions(
+        [Mention("doc-1", "C1", 0, 4, "self"), Mention("doc-1", "C2", 9, 13, "harm"),
+         Mention("doc-2", "C1", 0, 4, "self")],
+        path,
+    )
+    first, second, third = read_mentions(path)
+    assert first.doc_id is second.doc_id
+    assert first.concept_id is third.concept_id
+    assert first.doc_id is not third.doc_id
+
+
 def test_mention_record_keys_are_the_mention_fields():
     names = [f.name for f in fields(Mention)]
     plain = Mention("d", "C1", 0, 4, "self")
