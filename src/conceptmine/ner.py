@@ -3,16 +3,20 @@
 Matching is case-insensitive and token-boundary aligned. A vocabulary term
 matches a run of consecutive document tokens whose case-folded texts equal
 the term's token sequence, so multi-word terms span whatever whitespace or
-punctuation separates the tokens. Each document is tokenized once; at
-every token that starts some key, one lookup loop looks the following
-n-grams up in a dict of case-folded token tuples, up to the length of the
-longest key with that first token (the FlashText idea, Singh 2017). The
-same loop finds vocabulary terms and negation cues. Term overlaps
-resolve longest-span-first, then earliest-start-first. Filter rules flag
-mentions (negation cue within a token window in the same sentence, or a
-stop-listed surface; NegEx, Chapman et al. 2001) without deleting them.
-Documents are independent, so ``find_corpus_mentions`` splits them into
-contiguous chunks, one per forked worker process.
+punctuation separates the tokens. Each document's tokens are folded once,
+for an ASCII document by one ``str.translate`` and ``split``; at every
+token that starts some key, one lookup loop looks the following n-grams
+up in a dict of case-folded token tuples, up to the length of the longest
+key with that first token (the FlashText idea, Singh 2017). The same loop
+finds vocabulary terms and negation cues. Character offsets are found
+only for the tokens up to the last one a match reaches, and sentence
+breaks only up to the last mention; a document with no match gets
+neither. Term overlaps resolve longest-span-first, then
+earliest-start-first. Filter rules flag mentions (negation cue within a
+token window in the same sentence, or a stop-listed surface; NegEx,
+Chapman et al. 2001) without deleting them. Documents are independent,
+so ``find_corpus_mentions`` splits them into contiguous chunks, one per
+forked worker process.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Any, BinaryIO, Iterable, Iterator, Sequence
 
 from .ingest import Corpus, Document, read_records
 from .lexicon import ConceptId, Vocabulary
-from .tokenize import fold_term_tokens, token_columns
+from .tokenize import fold_term_tokens, fold_tokens, token_offsets
 
 _SENTENCE_BREAK_RE = re.compile(r"[.!?\n]")
 
@@ -92,28 +96,27 @@ def find_mentions(doc: Document, vocab: Vocabulary) -> list[Mention]:
     the same span. Result is sorted by (start, concept_id) and every
     mention satisfies ``doc.text[start:end] == surface``.
     """
-    starts, ends, folded = token_columns(doc.text)
-    return _match(doc, vocab, starts, ends, folded)
+    return _match(doc, vocab, fold_tokens(doc.text))[0]
 
 
 def _match(
-    doc: Document,
-    vocab: Vocabulary,
-    starts: list[int],
-    ends: list[int],
-    folded: list[str],
-) -> list[Mention]:
+    doc: Document, vocab: Vocabulary, folded: list[str]
+) -> tuple[list[Mention], list[int]]:
+    """The mentions in ``doc``, whose folded tokens are ``folded``, and the
+    start offsets of its tokens up to the last one a match reaches."""
     if not len(vocab):
         raise ValueError("vocabulary is empty")
-    candidates = [
-        (starts[i], ends[stop - 1], concepts)
-        for i, stop, concepts in _ngram_hits(folded, vocab.terms, vocab.longest)
-    ]
-    return [
+    hits = list(_ngram_hits(folded, vocab.terms, vocab.longest))
+    if not hits:
+        return [], []
+    starts, ends = token_offsets(doc.text, max(stop for _, stop, _ in hits))
+    candidates = [(starts[i], ends[stop - 1], concepts) for i, stop, concepts in hits]
+    mentions = [
         Mention(doc.doc_id, cid, start, end, doc.text[start:end])
         for start, end, concepts in _resolve_overlaps(candidates)
         for cid in concepts
     ]
+    return mentions, starts
 
 
 def _ngram_hits(
@@ -157,8 +160,9 @@ def apply_filter_rules(
     """
     if rules.is_empty() or not mentions:
         return list(mentions)
-    starts, _, folded = token_columns(doc.text)
-    return _flag(mentions, doc, rules, starts, folded)
+    last = max(mention.start for mention in mentions)
+    starts, _ = token_offsets(doc.text, endpos=last + 1)
+    return _flag(mentions, doc, rules, starts, fold_tokens(doc.text))
 
 
 def _flag(
@@ -168,8 +172,13 @@ def _flag(
     token_starts: list[int],
     folded: list[str],
 ) -> list[Mention]:
+    """``mentions`` flagged by ``rules``. ``token_starts`` holds the start
+    offsets of at least the tokens that start at or before the last
+    mention, so every window is compared by token index within them."""
     if rules.is_empty() or not mentions:
         return list(mentions)
+    # Every window ends by token len(token_starts): no later cue counts.
+    folded = folded[: len(token_starts)]
     # Cue occurrences by (stop, config order): the first one that starts
     # inside a mention's window ends earliest, then comes first in config.
     cues, longest = rules._cues, rules._cue_longest  # type: ignore[attr-defined]
@@ -180,7 +189,8 @@ def _flag(
             for i, stop, (order, cue) in _ngram_hits(folded, cues, longest)
         )
     hit_stops = [hit[0] for hit in hits]
-    sentence_starts = _sentence_starts(doc.text) if hits else []
+    last = max(mention.start for mention in mentions)
+    sentence_starts = _sentence_starts(doc.text, last + 1) if hits else []
     stop = rules.stop_surfaces
 
     result: list[Mention] = []
@@ -210,8 +220,9 @@ def _flag(
     return result
 
 
-def _sentence_starts(text: str) -> list[int]:
-    return [0] + [match.end() for match in _SENTENCE_BREAK_RE.finditer(text)]
+def _sentence_starts(text: str, endpos: int) -> list[int]:
+    """Sentence start offsets in ``text[:endpos]``."""
+    return [0] + [match.end() for match in _SENTENCE_BREAK_RE.finditer(text, 0, endpos)]
 
 
 def find_corpus_mentions(
@@ -220,7 +231,7 @@ def find_corpus_mentions(
     rules: FilterRules | None = None,
     threads: int = 1,
 ) -> list[Mention]:
-    """Match and filter every document, tokenizing each once for both, in
+    """Match and filter every document, folding its tokens once for both, in
     (doc_id, start, concept_id) order. This is that order's one home: the
     writers of the mention, scored and label files keep the order given,
     so line k of each file is the same mention.
@@ -300,8 +311,8 @@ def _chunk_mentions(
 ) -> list[Mention]:
     mentions: list[Mention] = []
     for doc in docs:
-        starts, ends, folded = token_columns(doc.text)
-        found = _match(doc, vocab, starts, ends, folded)
+        folded = fold_tokens(doc.text)
+        found, starts = _match(doc, vocab, folded)
         mentions += _flag(found, doc, rules, starts, folded)
     return mentions
 

@@ -8,8 +8,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptmine import ner
+from conceptmine.config import DEFAULT_NEGATION_CUES
 from conceptmine.ingest import Corpus, Document
 from conceptmine.lexicon import build_vocabulary, load_lexicon
 from conceptmine.ner import (
@@ -24,7 +27,8 @@ from conceptmine.ner import (
     read_mentions,
     write_mentions,
 )
-from conceptmine.tokenize import Token, fold_term_tokens, token_columns, tokenize
+from conceptmine.synth import FILLERS, THEMES, SynthSpec, generate
+from conceptmine.tokenize import Token, fold_term_tokens, fold_tokens, token_offsets, tokenize
 
 from conftest import write_lexicon_csv
 
@@ -66,7 +70,8 @@ class TestTokenize:
             for _ in range(2000)
         ]
         for text in texts:
-            assert token_columns(text) == reference_token_columns(text), repr(text)
+            got = (*token_offsets(text), fold_tokens(text))
+            assert got == reference_token_columns(text), repr(text)
 
 
 def reference_token_columns(text):
@@ -78,6 +83,34 @@ def reference_token_columns(text):
         [m.end() for m in matches],
         [m.group().lower() for m in matches],
     )
+
+
+# Texts over all 128 ASCII code points, weighted towards the token
+# characters and the separators that are easiest to get wrong: the
+# underscore is a word character but no token one, and \x1c-\x1f are
+# whitespace to str.split but not to the regex.
+ASCII_TEXTS = st.text(
+    st.sampled_from("aZ09'_\x00\x0b\x0c\x1c\x1d\x1e\x1f\r\n ")
+    | st.characters(max_codepoint=127),
+    max_size=40,
+)
+UNICODE_TEXTS = st.text(st.sampled_from("aZ09_'\u2019 .\n\x1céßİΣж٣十\u0301ﬁ—🙂"), max_size=20)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(ASCII_TEXTS)
+def test_ascii_fold_equals_the_regex_form(text):
+    assert fold_tokens(text) == reference_token_columns(text)[2]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(ASCII_TEXTS | UNICODE_TEXTS)
+def test_offset_prefixes_equal_the_regex_form(text):
+    starts, ends, _ = reference_token_columns(text)
+    for k in range(len(starts) + 2):
+        assert token_offsets(text, k) == (starts[:k], ends[:k])
+    for endpos in range(len(text) + 1):
+        assert token_offsets(text, endpos=endpos) == reference_token_columns(text[:endpos])[:2]
 
 
 NESTED_ROWS = [
@@ -101,15 +134,17 @@ def nested_vocab(tmp_path):
 
 
 def brute_force_mentions(text, term_concepts):
-    """Independent matcher: test every token span against the term set,
-    then resolve by (longer span, earlier start)."""
+    """Independent matcher: test every token span no longer than the
+    longest term against the term set, then resolve by (longer span,
+    earlier start)."""
     tokens = tokenize(text)
     patterns = {}
     for term, cids in term_concepts.items():
         patterns.setdefault(fold_term_tokens(term), set()).update(cids)
+    longest = max(map(len, patterns), default=0)
     candidates = []
     for i in range(len(tokens)):
-        for j in range(i + 1, len(tokens) + 1):
+        for j in range(i + 1, min(i + longest, len(tokens)) + 1):
             key = tuple(t.text.lower() for t in tokens[i:j])
             if key in patterns:
                 candidates.append(
@@ -503,6 +538,53 @@ class TestNegationOracle:
         rules = FilterRules(negation_cues=("no sign of", "no way"), negation_window=3)
         [mention] = apply_filter_rules(find_mentions(doc, vocab), doc, rules)
         assert mention.filter_reason == "negation:no sign of"
+
+
+@pytest.mark.parametrize(
+    "tail, reason",
+    [
+        ("no real anxiety today.", "negation:no"),  # the cue 2 tokens before
+        ("no. real anxiety today.", None),  # the cue in the sentence before
+    ],
+)
+def test_a_match_far_from_the_start_is_found_and_flagged(tmp_path, tail, reason):
+    # Offsets are found only up to the last token a match reaches, here
+    # the 1,003rd, after 1,000 filler tokens; all tokens are folded.
+    lexicon = load_lexicon(write_lexicon_csv(tmp_path / "one.csv", ["C1,anxiety,true,,g"]))
+    vocab = build_vocabulary(lexicon, {"C1"})
+    text = "the day went on and " * 200 + tail
+    doc = Document(doc_id="d", text=text)
+    rules = FilterRules(negation_cues=("no",), negation_window=3)
+    for got in (
+        find_corpus_mentions(Corpus((doc,)), vocab, rules),
+        apply_filter_rules(find_mentions(doc, vocab), doc, rules),
+    ):
+        assert [(m.start, m.end, m.concept_id) for m in got] == brute_force_mentions(
+            text, {"anxiety": {"C1"}}
+        )
+        assert [m.filter_reason for m in got] == [reason]
+        assert [m.filtered for m in got] == [reason is not None]
+        assert brute_force_negation(got[0], text, rules.negation_cues, 3) == reason
+
+
+def test_filler_padding_leaves_the_mentions_unchanged(monkeypatch, data_dir):
+    # The long-posts benchmark's invariant on a small corpus: sentences
+    # with no term appended to every document move no mention.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    lexicon = load_lexicon(data_dir / "lexicon.csv")
+    vocab = build_vocabulary(lexicon, {cid for ids in THEMES.values() for cid in ids})
+    corpus, _ = generate(lexicon, SynthSpec(n_docs=30, seed=5))
+    rng = np.random.default_rng(5)
+    padded = Corpus(tuple(
+        replace(doc, text=" ".join([doc.text, *rng.choice(FILLERS, size=40)]))
+        for doc in corpus.docs
+    ))
+    rules = FilterRules(negation_cues=DEFAULT_NEGATION_CUES)
+    expected = find_corpus_mentions(corpus, vocab, rules)
+    assert any(m.filtered for m in expected)
+    for threads in (1, 2):
+        assert find_corpus_mentions(padded, vocab, rules, threads=threads) == expected
+    assert_no_child_left()
 
 
 def test_mentions_jsonl_round_trip(tmp_path, nested_vocab):
