@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     for dest, (section, option) in OVERRIDES.items():
         flag = "--" + dest.replace("_", "-")
         action = argparse.BooleanOptionalAction if dest == "normalized" else "store"
-        p_run.add_argument(flag, action=action, help=f"override [{section}] {option}")
+        note = "; accepted for compatibility, NER runs in one process" if dest == "threads" else ""
+        p_run.add_argument(flag, action=action, help=f"override [{section}] {option}{note}")
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser(

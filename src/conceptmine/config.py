@@ -56,7 +56,7 @@ class PipelineConfig:
     ae: AESettings
     sweep: ThresholdSweep
     seed: int
-    threads: int
+    threads: int  # accepted for compatibility; NER runs in one process
 
 
 def _split_list(raw: str) -> tuple[str, ...]:

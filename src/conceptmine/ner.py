@@ -14,22 +14,19 @@ breaks only up to the last mention; a document with no match gets
 neither. Term overlaps resolve longest-span-first, then
 earliest-start-first. Filter rules flag mentions (negation cue within a
 token window in the same sentence, or a stop-listed surface; NegEx,
-Chapman et al. 2001) without deleting them. Documents are independent,
-so ``find_corpus_mentions`` splits them into contiguous chunks, one per
-forked worker process.
+Chapman et al. 2001) without deleting them.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate, compress, count
+from itertools import compress, count
 from json.encoder import encode_basestring as _quote
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .ingest import Corpus, Document, read_records
 from .lexicon import ConceptId, Vocabulary
@@ -233,126 +230,24 @@ def find_corpus_mentions(
 ) -> list[Mention]:
     """Match and filter every document, folding its tokens once for both, in
     (doc_id, start, concept_id) order. This is that order's one home: the
-    writers of the mention, scored and label files keep the order given,
-    so line k of each file is the same mention.
+    corpus holds its documents in doc_id order and each document's
+    mentions come by start, then concept id, so the result needs no sort;
+    the writers of the mention, scored and label files keep the order
+    given, so line k of each file is the same mention.
 
-    The documents are split into ``workers`` contiguous chunks of about
-    equal characters, ``workers = min(threads, documents, CPUs)``, or 1
-    where ``os.fork`` is missing. This process finds the first chunk's
-    mentions while a forked child finds each other chunk's and sends them
-    back pickled over a pipe; one worker forks nothing. The chunks join in
-    the corpus's doc_id order, so the result needs no sort. An exception in
-    a child is raised here with its type and message. Every child has been
-    waited for when this returns or raises. In a ``conceptmine run``, NER
-    forks before numpy is first imported, so no BLAS threads exist yet; a
-    caller that has loaded numpy forks beside its idle BLAS threads, which
-    is safe because the children run no numpy code.
+    ``threads`` is accepted for compatibility; NER runs in one process.
     """
     rules = rules or FilterRules()
-    docs = corpus.docs
-    workers = min(threads, len(docs), os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    bounds = _chunk_bounds([len(doc.text) for doc in docs], max(workers, 1))
-    children: list[tuple[int, BinaryIO]] = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:  # the child: send the chunk's result and leave
-                status = 1
-                try:
-                    os.close(read_fd)
-                    for _, reader in children:
-                        reader.close()
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(_chunk_payload(docs[lo:hi], vocab, rules))
-                    status = 0
-                finally:
-                    # No inherited buffer is flushed, no parent cleanup runs.
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        mentions = _chunk_mentions(docs[: bounds[1]], vocab, rules)
-        for _, reader in children:
-            mentions += _receive(reader)
-    finally:
-        # Read ends first: a child still writing then fails with
-        # BrokenPipeError and exits, so no wait below blocks for good.
-        for _, reader in children:
-            reader.close()
-        for pid, _ in children:
-            os.waitpid(pid, 0)
-    return mentions
-
-
-def _chunk_bounds(lengths: Sequence[int], workers: int) -> list[int]:
-    """Bounds ``0 = b[0] < b[1] < ... < b[workers] = len(lengths)`` of
-    ``workers`` contiguous chunks, for ``1 <= workers <= len(lengths)``
-    (or ``workers == 1``). ``b[k]`` is the first index whose prefix sum
-    of ``lengths`` reaches ``k / workers`` of the total, moved as little as
-    keeps every chunk non-empty, so no chunk sums to more than
-    ``ceil(total / workers) + max(lengths)``."""
-    prefix = list(accumulate(lengths, initial=0))
-    n, total = len(lengths), prefix[-1]
-    bounds = [0]
-    for k in range(1, workers):
-        first = bisect_left(prefix, -(-k * total // workers))
-        bounds.append(min(max(first, bounds[-1] + 1), n - workers + k))
-    bounds.append(n)
-    return bounds
-
-
-def _chunk_mentions(
-    docs: Sequence[Document], vocab: Vocabulary, rules: FilterRules
-) -> list[Mention]:
     mentions: list[Mention] = []
-    for doc in docs:
+    for doc in corpus.docs:
         folded = fold_tokens(doc.text)
         found, starts = _match(doc, vocab, folded)
         mentions += _flag(found, doc, rules, starts, folded)
     return mentions
 
 
-def _chunk_payload(
-    docs: Sequence[Document], vocab: Vocabulary, rules: FilterRules
-) -> bytes:
-    """A worker's result, pickled: its mentions as field tuples, or the
-    exception that stopped it (as a RuntimeError naming its type, if it
-    does not pickle)."""
-    import pickle
-
-    result: object
-    try:
-        result = list(map(_mention_fields, _chunk_mentions(docs, vocab, rules)))
-    except Exception as exc:
-        result = exc
-    try:
-        return pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
-
-
-def _receive(reader: BinaryIO) -> list[Mention]:
-    """Inverse of :func:`_chunk_payload`: the mentions, or raise the
-    worker's exception."""
-    import pickle
-
-    try:
-        result = pickle.load(reader)
-    except EOFError:
-        raise RuntimeError("an NER worker exited without sending its mentions") from None
-    if isinstance(result, BaseException):
-        raise result
-    return [Mention(*values) for values in result]
-
-
 MENTION_KEYS = tuple(f.name for f in fields(Mention))
 _mention_values = itemgetter(*MENTION_KEYS)
-_mention_fields = attrgetter(*MENTION_KEYS)
 
 # float.__repr__ of a value that is not finite, as json.dumps writes it.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -229,9 +229,17 @@ def _score(
 
 
 def _read_score(run: _Run, raw: Path, encoded: Path, *labels: Path) -> None:
+    """Each space's score column: one number per line (a bool is none),
+    and one line per mention."""
     for space, path in (("raw", raw), ("encoded", encoded)):
-        records = read_records(path, required=("score",))
-        run.scores[space] = [record["score"] for _, record in records]
+        scores = run.scores[space] = []
+        for line_no, record in read_records(path, required=("score",)):
+            score = record["score"]
+            if type(score) not in (float, int):
+                raise ValueError(f"{path}: line {line_no}: score must be a number, got {score!r}")
+            scores.append(score)
+        if len(scores) != len(run.mentions):
+            raise ValueError(f"{path}: {len(scores)} scores for {len(run.mentions)} mentions")
 
 
 def _eval(

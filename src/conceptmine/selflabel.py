@@ -203,7 +203,7 @@ def label_scores(mentions: Sequence[Mention], scores: Sequence[float]) -> list[f
     when it is filtered or its score is NaN."""
     return [
         -math.inf if m.filtered or math.isnan(score) else score
-        for m, score in zip(mentions, scores)
+        for m, score in zip(mentions, scores, strict=True)
     ]
 
 

@@ -27,6 +27,19 @@ def _source_trees():
     return package, {path: ast.parse(path.read_text(encoding="utf-8")) for path in package + bench}
 
 
+def _dotted_names(tree):
+    """The names a module's code uses: ``a.b`` for an attribute of a plain
+    name, each imported module, and ``module.name`` for each from-import.
+    Docstrings do not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
 @pytest.fixture(scope="module")
 def small_setup(tmp_path_factory):
     """A reduced synthetic corpus and config for fast CLI runs."""
@@ -257,21 +270,25 @@ class TestLoadConfig:
         not runs) names ``np.random`` or ``numpy.random`` in its code, by
         attribute or by import. Docstrings do not count."""
         package, trees = _source_trees()
-        named = set()
-        for path in package:
-            for node in ast.walk(trees[path]):
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                    names = [f"{node.value.id}.{node.attr}"]
-                elif isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [f"{node.module}.{alias.name}" for alias in node.names]
-                else:
-                    continue
-                if any(n in ("np.random", "numpy.random") or n.startswith("numpy.random.")
-                       for n in names):
-                    named.add(path.stem)
+        named = {
+            path.stem
+            for path in package
+            for n in _dotted_names(trees[path])
+            if n in ("np.random", "numpy.random") or n.startswith("numpy.random.")
+        }
         assert named == {"synth"}
+
+    def test_no_module_forks_or_pickles(self):
+        """NER runs in one process: no module of ``src/`` imports ``pickle``
+        or names ``os.fork`` or ``os.pipe`` in its code."""
+        package, trees = _source_trees()
+        named = sorted(
+            (path.stem, n)
+            for path in package
+            for n in _dotted_names(trees[path])
+            if n in ("os.fork", "os.pipe") or n.split(".")[0] == "pickle"
+        )
+        assert named == []
 
     def test_per_mention_records_hold_no_dict(self):
         """A run holds one ``Mention`` per mention and one ``GoldAnnotation``
@@ -505,18 +522,21 @@ def test_cli_imports_only_stdlib(tmp_path):
     loaded = set(proc.stdout.split())
     assert loaded - set(sys.stdlib_module_names) == {"conceptmine"}
     # Nor concurrent.futures, which costs every start 6-8 ms for nothing,
-    # nor pickle, which only a forked NER worker and its reader use.
+    # nor pickle, which no run uses.
     assert "concurrent" not in loaded
     assert "pickle" not in loaded
 
 
 def test_forked_ner_workers_print_nothing(small_setup, tmp_path):
-    # Text printed before the run waits in the stdout buffer when the NER
-    # workers fork; a worker that flushed its copy would print it again.
-    # Enough CPUs are reported that --threads 2 forks on any machine.
+    # Text printed before the run waits in the stdout buffer; a forked
+    # process that flushed its copy would print it again. NER runs in one
+    # process, so with os.fork raising and CPUs to spare, --threads 2 still
+    # exits 0 and writes the --threads 1 tree byte for byte.
     probe = (
-        "import os, sys; os.cpu_count = lambda: 4; print('before the run'); "
-        "from conceptmine.cli import main; sys.exit(main(sys.argv[1:]))"
+        "import os, sys\n"
+        "def refuse(*args): raise OSError('forked')\n"
+        "os.fork = refuse; os.cpu_count = lambda: 4; print('before the run')\n"
+        "from conceptmine.cli import main; sys.exit(main(sys.argv[1:]))\n"
     )
     pythonpath = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p
@@ -535,6 +555,11 @@ def test_forked_ner_workers_print_nothing(small_setup, tmp_path):
     assert stdouts[0] == stdouts[1]
     assert stdouts[1].count("before the run") == 1
     assert "pr_auc gap" in stdouts[1]
+    out1, out2 = (
+        {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        for out in (tmp_path / "out1", tmp_path / "out2")
+    )
+    assert out1 == out2
 
 
 def test_a_cached_rerun_loads_no_openssl(small_setup, tmp_path):

@@ -2,7 +2,6 @@ import json
 import math
 import os
 import re
-import signal
 from bisect import bisect_left, bisect_right
 from dataclasses import fields, replace
 
@@ -567,6 +566,11 @@ def test_a_match_far_from_the_start_is_found_and_flagged(tmp_path, tail, reason)
         assert brute_force_negation(got[0], text, rules.negation_cues, 3) == reason
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_filler_padding_leaves_the_mentions_unchanged(monkeypatch, data_dir):
     # The long-posts benchmark's invariant on a small corpus: sentences
     # with no term appended to every document move no mention.
@@ -647,83 +651,6 @@ def test_mention_line_is_json_dumps_of_the_record(text):
                 assert mention_line(m, score) == json.dumps(scored, ensure_ascii=False) + "\n"
 
 
-class TestChunkBounds:
-    @pytest.mark.parametrize(
-        "lengths, workers, bounds",
-        [
-            ([], 1, [0, 0]),
-            ([7], 1, [0, 1]),
-            ([5, 5, 5, 5], 2, [0, 2, 4]),
-            ([100, 1, 1, 1], 2, [0, 1, 4]),
-            ([1, 1, 1, 100], 2, [0, 3, 4]),
-            ([1, 1, 1, 100], 3, [0, 2, 3, 4]),
-            ([0, 0, 0], 3, [0, 1, 2, 3]),
-            ([1] * 10_000, 10_000, list(range(10_001))),
-        ],
-    )
-    def test_cases_by_inspection(self, lengths, workers, bounds):
-        assert ner._chunk_bounds(lengths, workers) == bounds
-
-    def test_chunks_are_contiguous_cover_once_and_balance_characters(self):
-        rng = np.random.default_rng(11)
-        for _ in range(2000):
-            n = int(rng.integers(1, 30))
-            lengths = [int(x) for x in rng.integers(0, 200, size=n)]
-            if rng.random() < 0.3:  # one document much longer than the rest
-                lengths[int(rng.integers(n))] = 10_000
-            workers = int(rng.integers(1, n + 1))
-            bounds = ner._chunk_bounds(lengths, workers)
-            assert len(bounds) == workers + 1
-            assert bounds[0] == 0 and bounds[-1] == n
-            assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
-            limit = -(-sum(lengths) // workers) + max(lengths)
-            assert all(sum(lengths[lo:hi]) <= limit for lo, hi in zip(bounds, bounds[1:]))
-
-
-def spy_on_workers(monkeypatch):
-    """Record the worker count of each call and fork nothing: every call
-    gets one chunk, and a fork fails the test."""
-    seen = []
-    chunk_bounds = ner._chunk_bounds
-
-    def one_chunk(lengths, workers):
-        seen.append(workers)
-        return chunk_bounds(lengths, 1)
-
-    monkeypatch.setattr(ner, "_chunk_bounds", one_chunk)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    return seen
-
-
-class TestWorkerCount:
-    def test_threads_are_bounded_by_documents_and_cpus(self, monkeypatch, nested_vocab):
-        _, vocab = nested_vocab
-        seen = spy_on_workers(monkeypatch)
-        corpus = Corpus(tuple(Document(f"d{i}", "self harm") for i in range(5)))
-        for cpus, threads, workers in [
-            (3, 10_000, 3), (64, 10_000, 5), (64, 2, 2), (None, 10_000, 1), (64, 1, 1),
-        ]:
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert len(find_corpus_mentions(corpus, vocab, threads=threads)) == 5
-            assert seen.pop() == workers
-        assert find_corpus_mentions(Corpus(()), vocab, threads=10_000) == []
-        assert seen.pop() == 1
-
-    def test_one_worker_without_fork(self, monkeypatch, nested_vocab):
-        _, vocab = nested_vocab
-        seen = spy_on_workers(monkeypatch)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.delattr(os, "fork")
-        corpus = Corpus(tuple(Document(f"d{i}", "self harm") for i in range(5)))
-        assert len(find_corpus_mentions(corpus, vocab, threads=4)) == 5
-        assert seen == [1]
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def reference_corpus_mentions(corpus, vocab, rules):
     return sorted(
         (
@@ -735,110 +662,60 @@ def reference_corpus_mentions(corpus, vocab, rules):
     )
 
 
-class TestForkedWorkers:
-    RULES = FilterRules(
-        negation_cues=("no", "never had"), stop_surfaces=frozenset({"mood"})
-    )
+CORPUS_RULES = FilterRules(negation_cues=("no", "never had"), stop_surfaces=frozenset({"mood"}))
 
-    @pytest.fixture(autouse=True)
-    def many_cpus(self, monkeypatch):
-        # Enough CPUs that ``threads`` alone sets the worker count.
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
-    def random_corpus(self, rng, words, n_docs):
-        docs = []
-        for i in range(n_docs):
-            size = int(rng.integers(0, 30))
-            if rng.random() < 0.2:  # skewed: a few documents far longer
-                size *= 40
-            picks = rng.integers(len(words), size=size)
-            docs.append(Document(f"doc{i:03d}", " ".join(words[int(k)] for k in picks)))
-        return Corpus(tuple(docs))
+def random_corpus(rng, words, n_docs):
+    docs = []
+    for i in range(n_docs):
+        size = int(rng.integers(0, 30))
+        if rng.random() < 0.2:  # skewed: a few documents far longer
+            size *= 40
+        picks = rng.integers(len(words), size=size)
+        docs.append(Document(f"doc{i:03d}", " ".join(words[int(k)] for k in picks)))
+    return Corpus(tuple(docs))
 
-    def test_equal_mentions_for_one_to_five_threads(self, nested_vocab):
-        lexicon, vocab = nested_vocab
-        words = list(lexicon.term_index) + ["no", "never", "had", "the", "today", "."]
-        rng = np.random.default_rng(23)
-        corpora = [Corpus(()), Corpus((Document("only", "no mood swings"),))]
-        corpora += [self.random_corpus(rng, words, int(rng.integers(2, 12))) for _ in range(12)]
-        for corpus in corpora:
-            expected = reference_corpus_mentions(corpus, vocab, self.RULES)
-            for threads in range(1, 6):
-                got = find_corpus_mentions(corpus, vocab, self.RULES, threads=threads)
-                assert got == expected, (threads, len(corpus))
-        assert_no_child_left()
 
-    def test_corpus_order_is_doc_id_order(self, nested_vocab):
-        # The corpus sorts its documents, so the workers' chunks join in
-        # canonical order with no sort of the mentions.
-        _, vocab = nested_vocab
-        corpus = Corpus((Document("b", "no mood swings, self harm"), Document("a", "mood")))
-        assert [doc.doc_id for doc in corpus.docs] == ["a", "b"]
-        assert [corpus.index_of(doc_id) for doc_id in "ab"] == [0, 1]
-        expected = reference_corpus_mentions(corpus, vocab, self.RULES)
-        assert {m.doc_id for m in expected} == {"a", "b"}
-        for threads in (1, 2):
-            assert find_corpus_mentions(corpus, vocab, self.RULES, threads=threads) == expected
-        assert_no_child_left()
+def test_equal_mentions_for_one_to_five_threads(nested_vocab):
+    # threads is accepted and changes nothing.
+    lexicon, vocab = nested_vocab
+    words = list(lexicon.term_index) + ["no", "never", "had", "the", "today", "."]
+    rng = np.random.default_rng(23)
+    corpora = [Corpus(()), Corpus((Document("only", "no mood swings"),))]
+    corpora += [random_corpus(rng, words, int(rng.integers(2, 12))) for _ in range(12)]
+    for corpus in corpora:
+        expected = reference_corpus_mentions(corpus, vocab, CORPUS_RULES)
+        for threads in range(1, 6):
+            got = find_corpus_mentions(corpus, vocab, CORPUS_RULES, threads=threads)
+            assert got == expected, (threads, len(corpus))
 
-    @pytest.mark.parametrize("failing", [0, 3, 5])
-    def test_a_worker_exception_is_raised_here(self, monkeypatch, nested_vocab, failing):
-        _, vocab = nested_vocab
-        corpus = Corpus(tuple(Document(f"d{i}", "self harm " * 50) for i in range(6)))
-        match = ner._match
 
-        def failing_match(doc, *args):
-            if doc.doc_id == f"d{failing}":
-                raise ValueError(f"cannot match {doc.doc_id}")
-            return match(doc, *args)
+def test_corpus_order_is_doc_id_order(nested_vocab):
+    # The corpus sorts its documents, so the mentions come in canonical
+    # order with no sort.
+    _, vocab = nested_vocab
+    corpus = Corpus((Document("b", "no mood swings, self harm"), Document("a", "mood")))
+    assert [doc.doc_id for doc in corpus.docs] == ["a", "b"]
+    assert [corpus.index_of(doc_id) for doc_id in "ab"] == [0, 1]
+    expected = reference_corpus_mentions(corpus, vocab, CORPUS_RULES)
+    assert {m.doc_id for m in expected} == {"a", "b"}
+    for threads in (1, 2):
+        assert find_corpus_mentions(corpus, vocab, CORPUS_RULES, threads=threads) == expected
 
-        monkeypatch.setattr(ner, "_match", failing_match)
-        with pytest.raises(ValueError, match=f"^cannot match d{failing}$") as info:
-            find_corpus_mentions(corpus, vocab, threads=3)
-        assert info.type is ValueError
-        assert_no_child_left()
 
-    def test_an_exception_that_does_not_pickle_keeps_its_message(self, monkeypatch, nested_vocab):
-        _, vocab = nested_vocab
+@pytest.mark.parametrize("failing", [0, 3, 5])
+def test_a_worker_exception_is_raised_here(monkeypatch, nested_vocab, failing):
+    # An NER error reaches the caller with its own type and message.
+    _, vocab = nested_vocab
+    corpus = Corpus(tuple(Document(f"d{i}", "self harm " * 50) for i in range(6)))
+    match = ner._match
 
-        class LocalError(Exception):
-            pass
+    def failing_match(doc, *args):
+        if doc.doc_id == f"d{failing}":
+            raise ValueError(f"cannot match {doc.doc_id}")
+        return match(doc, *args)
 
-        match = ner._match
-
-        def failing_match(doc, *args):
-            if doc.doc_id == "d1":
-                raise LocalError(f"cannot match {doc.doc_id}")
-            return match(doc, *args)
-
-        monkeypatch.setattr(ner, "_match", failing_match)
-        corpus = Corpus((Document("d0", "self harm"), Document("d1", "self harm")))
-        with pytest.raises(RuntimeError, match="^LocalError: cannot match d1$"):
-            find_corpus_mentions(corpus, vocab, threads=2)
-        assert_no_child_left()
-
-    def test_a_worker_blocked_on_a_full_pipe_is_reaped(self, monkeypatch, nested_vocab):
-        # The second chunk's mentions pickle to far more than a pipe holds,
-        # and this process fails before it reads any of them.
-        _, vocab = nested_vocab
-        match = ner._match
-
-        def failing_match(doc, *args):
-            if doc.doc_id == "d0":
-                raise ValueError("cannot match d0")
-            return match(doc, *args)
-
-        def too_slow(*_):
-            raise TimeoutError("a worker was never reaped")
-
-        monkeypatch.setattr(ner, "_match", failing_match)
-        corpus = Corpus((Document("d0", "x " * 20_000), Document("d1", "self harm " * 20_000)))
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.alarm(60)
-        try:
-            with pytest.raises(ValueError, match="^cannot match d0$"):
-                find_corpus_mentions(corpus, vocab, threads=2)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert_no_child_left()
+    monkeypatch.setattr(ner, "_match", failing_match)
+    with pytest.raises(ValueError, match=f"^cannot match d{failing}$") as info:
+        find_corpus_mentions(corpus, vocab, threads=3)
+    assert info.type is ValueError

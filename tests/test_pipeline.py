@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from conceptmine.pipeline import (
     SELECTED_CONCEPTS,
     STAGES,
     PipelineError,
+    _digests,
     run_pipeline,
     select_concepts,
     stage_of,
@@ -271,6 +273,44 @@ def test_cached_scores_must_hold_the_cached_mentions(tmp_path):
     # Cut partway through the last line: no line past the cut is read.
     scored_path.write_text("".join(lines)[:-20], encoding="utf-8")
     assert_stage_eval_is_fresh(config_path)
+
+
+def _set_first_score(value):
+    def damage(path):
+        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = {**json.loads(first), "score": value}
+        path.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (_drop_last_line, r"\d+ scores for \d+ mentions"),
+        (_set_first_score("x"), "line 1: score must be a number, got 'x'"),
+        (_set_first_score(True), "line 1: score must be a number, got True"),
+    ],
+    ids=["short", "string", "bool"],
+)
+def test_a_cached_score_column_holds_one_number_per_mention(tmp_path, capsys, damage, reason):
+    # The stamp is rewritten to vouch for the damaged file, so only the
+    # score reader stands between it and the PR sweep.
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(DATA_DIR / "config.ini"), "--output", str(out), "--epochs", "5"]
+    assert main(argv) == 0
+    scored = out / "scored_raw.jsonl"
+    damage(scored)
+    stamp = out / FINGERPRINT
+    settings = stamp.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    digests = {**_digest_line(out), **_digests(out, [scored])}
+    stamp.write_text(settings + json.dumps(digests) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([*argv, "--stage", "eval"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert re.fullmatch(f"error: stage score: {re.escape(str(scored))}: {reason}", line), line
 
 
 NEGATED_CORPUS = [
